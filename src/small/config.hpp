@@ -24,17 +24,20 @@ enum class ReclaimPolicy : std::uint8_t {
   kRecursive,  ///< children decremented immediately (unbounded work)
 };
 
-struct SimConfig {
-  std::uint32_t tableSize = 4096;
-  CompressionPolicy compression = CompressionPolicy::kCompressOne;
-  ReclaimPolicy reclaim = ReclaimPolicy::kLazy;
-
-  // Argument-selection probabilities. §5.2.1 reports the runs used
-  // (0.6, 0.3, 0.01, 0.01).
+/// The EP model's argument-selection probabilities. The defaults are the
+/// values §5.2.1 reports its runs used: (0.6, 0.3, 0.01, 0.01).
+struct EpProbabilities {
   double argProb = 0.60;   ///< primitive argument is a function argument
   double locProb = 0.30;   ///< ... is a local variable
   double bindProb = 0.01;  ///< return value bound to a variable (vs pushed)
   double readProb = 0.01;  ///< variable was re-read since last access
+};
+
+/// Parameters (3)-(6) are the inherited EpProbabilities.
+struct SimConfig : EpProbabilities {
+  std::uint32_t tableSize = 4096;
+  CompressionPolicy compression = CompressionPolicy::kCompressOne;
+  ReclaimPolicy reclaim = ReclaimPolicy::kLazy;
 
   /// Split reference counts (§5.2.4 / Table 5.3): stack references are
   /// counted in an EP-side table; the LPT keeps internal counts + StackBit.

@@ -10,23 +10,10 @@ ListProcessor::ListProcessor(const SimConfig& config, support::Rng& rng)
     : config_(config),
       rng_(rng),
       lpt_(config.tableSize, config.reclaim),
-      epRefs_(config.tableSize, 0),
-      epPos_(config.tableSize, kNoEntry) {}
-
-std::uint32_t ListProcessor::externalRefs(EntryId id) const {
-  return id < epRefs_.size() ? epRefs_[id] : 0;
-}
+      epRefs_(config.tableSize) {}
 
 void ListProcessor::epIncrement(EntryId id) {
-  if (id >= epRefs_.size()) {
-    throw SimulationError("ListProcessor: EP reference to bad entry id");
-  }
-  std::uint32_t& count = epRefs_[id];
-  if (count == 0) {
-    epPos_[id] = static_cast<std::uint32_t>(epNonZero_.size());
-    epNonZero_.push_back(id);
-  }
-  ++count;
+  const std::uint32_t count = epRefs_.increment(id);
   ++stats_.epRefOps;
   stats_.epMaxRefCount = std::max(stats_.epMaxRefCount, count);
   if (config_.splitRefCounts && count == 1) {
@@ -35,20 +22,9 @@ void ListProcessor::epIncrement(EntryId id) {
 }
 
 void ListProcessor::epDecrement(EntryId id) {
-  if (id >= epRefs_.size() || epRefs_[id] == 0) {
-    throw SimulationError("ListProcessor: EP reference underflow");
-  }
+  const std::uint32_t count = epRefs_.decrement(id);
   ++stats_.epRefOps;
-  if (--epRefs_[id] == 0) {
-    // Swap-remove from the non-zero set; O(1) either way.
-    const std::uint32_t pos = epPos_[id];
-    const EntryId last = epNonZero_.back();
-    epNonZero_[pos] = last;
-    epPos_[last] = pos;
-    epNonZero_.pop_back();
-    epPos_[id] = kNoEntry;
-    if (config_.splitRefCounts) lpt_.setStackBit(id, false);
-  }
+  if (count == 0 && config_.splitRefCounts) lpt_.setStackBit(id, false);
 }
 
 void ListProcessor::returnRef(EntryId id) {
@@ -81,14 +57,6 @@ void ListProcessor::largeUnbind() {
     throw SimulationError("ListProcessor: large-reference underflow");
   }
   --overflowOutstanding_;
-}
-
-std::vector<EntryId> ListProcessor::externalRoots() const {
-  // The mark phase is order-independent, but downstream consumers (and
-  // any future order-sensitive stat) get a canonical ascending order.
-  std::vector<EntryId> roots(epNonZero_.begin(), epNonZero_.end());
-  std::sort(roots.begin(), roots.end());
-  return roots;
 }
 
 bool ListProcessor::ensureFree(std::uint32_t needed) {

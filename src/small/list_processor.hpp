@@ -21,6 +21,7 @@
 #include "heap/address_model.hpp"
 #include "small/config.hpp"
 #include "small/lpt.hpp"
+#include "small/ref_shadow.hpp"
 #include "support/rng.hpp"
 
 namespace small::core {
@@ -99,7 +100,7 @@ class ListProcessor {
 
   /// External (EP-held) reference count shadow — what the EP's stack
   /// holds; used to decide compressibility and as cycle-recovery roots.
-  std::uint32_t externalRefs(EntryId id) const;
+  std::uint32_t externalRefs(EntryId id) const { return epRefs_.count(id); }
 
   /// Cache-model address of the two-pointer cell backing this entry.
   std::uint64_t cacheAddress(EntryId id) const {
@@ -113,7 +114,7 @@ class ListProcessor {
   /// reference to, in ascending EntryId order. O(live roots) — built from
   /// the incrementally maintained non-zero set, so the order (and every
   /// order-sensitive stat downstream) is independent of hash-table layout.
-  std::vector<EntryId> externalRoots() const;
+  std::vector<EntryId> externalRoots() const { return epRefs_.sortedIds(); }
 
  private:
   AccessResult access(EntryId id, bool wantCar);
@@ -164,12 +165,7 @@ class ListProcessor {
 
   // EP-side reference table. In base mode it is a shadow used only for
   // compressibility/root decisions; in split mode it is the real count.
-  // Dense layout, indexed by EntryId (bounded by the table size): lookups
-  // are a single load, and the separately maintained non-zero id set makes
-  // root collection O(live roots) instead of a hash-table walk.
-  std::vector<std::uint32_t> epRefs_;   ///< count per id
-  std::vector<EntryId> epNonZero_;      ///< ids with count > 0 (unordered)
-  std::vector<std::uint32_t> epPos_;    ///< id -> index in epNonZero_
+  RefShadow epRefs_;
 
   // Overflow (bypass) mode: operations create "large address" objects in a
   // side table; the LP returns to fast mode when none remain outstanding.

@@ -10,7 +10,8 @@ using support::SimulationError;
 
 SmallMachine::SmallMachine(Config config)
     : config_(config),
-      heap_(heap::makeHeapBackend(config.heapBackend, config.heapOptions)) {
+      heap_(heap::makeHeapBackend(config.heapBackend, config.heapOptions)),
+      epRefs_(config.tableSize) {
   if (config_.tableSize == 0) {
     throw SimulationError("SmallMachine: zero-sized table");
   }
@@ -39,8 +40,6 @@ SmallMachine::SmallMachine(Config config)
   for (std::uint32_t id = config_.tableSize; id-- > 0;) {
     freeStack_.push_back(id);
   }
-  epRefs_.assign(config_.tableSize, 0);
-  epPos_.assign(config_.tableSize, 0xffffffffu);
 }
 
 SmallMachine::Entry& SmallMachine::entry(std::uint32_t id) {
@@ -51,31 +50,6 @@ SmallMachine::Entry& SmallMachine::entry(std::uint32_t id) {
 const SmallMachine::Entry& SmallMachine::entry(std::uint32_t id) const {
   if (id >= entries_.size()) throw SimulationError("SmallMachine: bad id");
   return entries_[id];
-}
-
-std::uint32_t SmallMachine::externalRefs(std::uint32_t id) const {
-  return id < epRefs_.size() ? epRefs_[id] : 0;
-}
-
-void SmallMachine::epIncrement(std::uint32_t id) {
-  if (epRefs_[id]++ == 0) {
-    epPos_[id] = static_cast<std::uint32_t>(epNonZero_.size());
-    epNonZero_.push_back(id);
-  }
-}
-
-void SmallMachine::epDecrement(std::uint32_t id) {
-  if (id >= epRefs_.size() || epRefs_[id] == 0) {
-    throw SimulationError("SmallMachine: release without EP reference");
-  }
-  if (--epRefs_[id] == 0) {
-    const std::uint32_t pos = epPos_[id];
-    const std::uint32_t last = epNonZero_.back();
-    epNonZero_[pos] = last;
-    epPos_[last] = pos;
-    epNonZero_.pop_back();
-    epPos_[id] = 0xffffffffu;
-  }
 }
 
 std::uint32_t SmallMachine::allocateEntry() {
@@ -298,11 +272,7 @@ bool SmallMachine::ensureFree(std::uint32_t needed) {
 
 std::uint64_t SmallMachine::recoverCycles() {
   for (Entry& e : entries_) e.mark = false;
-  // Roots in ascending id order: the mark set is order-independent, but a
-  // canonical order keeps every run (and any order-sensitive stat added
-  // later) reproducible across standard-library implementations.
-  std::vector<std::uint32_t> work(epNonZero_.begin(), epNonZero_.end());
-  std::sort(work.begin(), work.end());
+  std::vector<std::uint32_t> work = epRefs_.sortedIds();
   while (!work.empty()) {
     const std::uint32_t id = work.back();
     work.pop_back();
@@ -410,7 +380,7 @@ SmallMachine::Value SmallMachine::readList(const sexpr::Arena& arena,
   Entry& e = entries_[id];
   e.addr = word;
   e.refCount = 1;  // the EP's reference
-  epIncrement(id);
+  epRefs_.increment(id);
   Value value;
   value.kind = Value::Kind::kObject;
   value.id = id;
@@ -421,12 +391,12 @@ SmallMachine::Value SmallMachine::readList(const sexpr::Arena& arena,
 void SmallMachine::retain(Value value) {
   if (!value.isObject()) return;
   incRef(value.id);
-  epIncrement(value.id);
+  epRefs_.increment(value.id);
 }
 
 void SmallMachine::release(Value value) {
   if (!value.isObject()) return;
-  epDecrement(value.id);
+  epRefs_.decrement(value.id);
   decRef(value.id);
   maybeCollectHeap();  // safepoint: any dropped structure is now garbage
 }
@@ -470,7 +440,7 @@ SmallMachine::Value SmallMachine::access(Value list, bool wantCar) {
       wantCar ? entry(list.id).carField : entry(list.id).cdrField;
   if (field.isObject()) {
     incRef(field.id);
-    epIncrement(field.id);
+    epRefs_.increment(field.id);
   }
   return field;
 }
@@ -486,7 +456,7 @@ SmallMachine::Value SmallMachine::cons(Value head, Value tail) {
   if (tail.isObject()) incRef(tail.id);
   e.refCount += 1;  // the EP's reference to the new cell
   ++stats_.refOps;
-  epIncrement(id);
+  epRefs_.increment(id);
   Value value;
   value.kind = Value::Kind::kObject;
   value.id = id;
@@ -537,7 +507,7 @@ bool SmallMachine::mergeableField(const Value& field) const {
   if (!field.isObject()) return true;  // atoms merge as immediate words
   const Entry& e = entry(field.id);
   return e.inUse && !e.hasFields && e.refCount == 1 &&
-         externalRefs(field.id) == 0;
+         epRefs_.count(field.id) == 0;
 }
 
 bool SmallMachine::compressiblePair(std::uint32_t id) const {

@@ -26,6 +26,7 @@
 #include "heap/backend.hpp"
 #include "sexpr/arena.hpp"
 #include "small/config.hpp"
+#include "small/ref_shadow.hpp"
 #include "support/error.hpp"
 
 namespace small::core {
@@ -244,21 +245,12 @@ class SmallMachine {
   /// address words are a complete root set.
   void maybeCollectHeap();
 
-  std::uint32_t externalRefs(std::uint32_t id) const;
-  void epIncrement(std::uint32_t id);
-  void epDecrement(std::uint32_t id);
-
   Config config_;
   std::unique_ptr<heap::HeapBackend> heap_;
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> freeStack_;
   std::uint32_t inUse_ = 0;
-  // Dense EP reference shadow, indexed by entry id (the table never
-  // grows): one load per lookup, and the non-zero id set keeps
-  // cycle-recovery root collection O(live roots) and deterministic.
-  std::vector<std::uint32_t> epRefs_;   ///< count per id
-  std::vector<std::uint32_t> epNonZero_;  ///< ids with count > 0 (unordered)
-  std::vector<std::uint32_t> epPos_;    ///< id -> index in epNonZero_
+  RefShadow epRefs_;  ///< compressibility and cycle-recovery roots
   std::deque<heap::HeapBackend::CellRef> freeQueue_;
   Stats stats_;
   gc::GcStats gcStats_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "small/ep_model.hpp"
 #include "trace/binary.hpp"
 
 namespace small::core {
@@ -35,29 +36,64 @@ sexpr::NodeRef synthesizeShape(sexpr::Arena& arena, std::uint32_t n,
   return list;
 }
 
+// Recorded (n, p) shapes are clamped to this many symbols so one readlist
+// cannot swamp the table.
+constexpr std::uint32_t kMaxShapeSymbols = 64;
+
+// Once the top-level frame holds this many items, results are bound
+// instead of pushed (EpModel::disposeValue). The Simulator uses 512; each
+// value is part of its own seeded results.
+constexpr std::size_t kTopLevelStackBound = 256;
+
+using Value = SmallMachine::Value;
+
+/// The EpModel adapter: EP references are SmallMachine retain/release.
+struct MachineOps {
+  using Value = SmallMachine::Value;
+  SmallMachine& machine;
+
+  static bool isList(const Value& value) { return value.isObject(); }
+  void retain(const Value& value) { machine.retain(value); }
+  void release(const Value& value) { machine.release(value); }
+  Value readIn(std::uint32_t n, std::uint32_t p) {
+    sexpr::Arena arena;
+    const std::uint32_t capped = std::min(std::max(n, 1u), kMaxShapeSymbols);
+    return machine.readList(arena,
+                            synthesizeShape(arena, capped, std::min(p, 4u)));
+  }
+  void reread(Value& value, std::uint32_t n, std::uint32_t p) {
+    if (!value.isObject()) return;
+    machine.release(value);
+    value = readIn(n, p);
+  }
+};
+
 // Event-at-a-time replay core: the whole-trace and streaming entry
 // points below differ only in how they iterate events into feed().
 class Replayer {
  public:
   explicit Replayer(const ReplayConfig& config,
                     const ReplayHook* hook = nullptr)
-      : config_(config), rng_(config.seed), machine_(config.machine) {
+      : rng_(config.seed),
+        machine_(config.machine),
+        ep_(MachineOps{machine_}, rng_, EpProbabilities{},
+            kTopLevelStackBound) {
     if (hook != nullptr && hook->onMachineReady) {
       hook->onMachineReady(machine_);
     }
     if (hook != nullptr && hook->everyPrimitives > 0 && hook->onPrimitives) {
       hook_ = hook;
     }
-    frames_.push_back(Frame{0, 0});  // top level
   }
 
   void feed(const PreprocessedEvent& event) {
     switch (event.kind) {
       case EventKind::kFunctionEnter:
-        onFunctionEnter(event);
+        ++functionCalls_;
+        ep_.enterFunction(event.argCount);
         break;
       case EventKind::kFunctionExit:
-        onFunctionExit();
+        ep_.exitFunction();
         break;
       case EventKind::kPrimitive:
         onPrimitive(event);
@@ -68,10 +104,7 @@ class Replayer {
   ReplayResult finish() {
     // Shutdown: unwind every frame and drain the free queue. Whatever
     // stays in the table is cyclic structure from rplac traffic.
-    while (!stack_.empty()) {
-      machine_.release(stack_.back().value);
-      stack_.pop_back();
-    }
+    ep_.unwind();
     machine_.serviceAllHeapFrees();
 
     ReplayResult result;
@@ -87,115 +120,6 @@ class Replayer {
   }
 
  private:
-  using Value = SmallMachine::Value;
-
-  struct Item {
-    Value value;
-    bool isArgument = false;
-    bool isTemp = false;
-  };
-
-  struct Frame {
-    std::size_t base = 0;
-    std::uint8_t argCount = 0;
-  };
-
-  Value freshList(std::uint32_t n, std::uint32_t p) {
-    sexpr::Arena arena;
-    const std::uint32_t capped = std::min(
-        std::max(n, 1u), std::max(config_.maxShapeSymbols, 1u));
-    return machine_.readList(arena,
-                             synthesizeShape(arena, capped, std::min(p, 4u)));
-  }
-
-  std::optional<std::size_t> pickListItem(std::size_t lo, std::size_t hi) {
-    std::optional<std::size_t> chosen;
-    std::uint64_t seen = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (!stack_[i].value.isObject()) continue;
-      ++seen;
-      if (rng_.below(seen) == 0) chosen = i;
-    }
-    return chosen;
-  }
-
-  void onFunctionEnter(const PreprocessedEvent& event) {
-    ++functionCalls_;
-    const std::size_t base = stack_.size();
-    for (std::uint8_t i = 0; i < event.argCount; ++i) {
-      Item item;
-      item.isArgument = true;
-      const std::optional<std::size_t> older = pickListItem(0, base);
-      if (older && rng_.chance(0.7)) {
-        item.value = stack_[*older].value;
-        machine_.retain(item.value);
-      }
-      stack_.push_back(item);
-    }
-    const auto locals = static_cast<std::uint32_t>(rng_.below(3));
-    for (std::uint32_t i = 0; i < locals; ++i) {
-      stack_.push_back(Item{});
-    }
-    frames_.push_back(Frame{base, event.argCount});
-  }
-
-  void onFunctionExit() {
-    if (frames_.size() <= 1) return;
-    const Frame frame = frames_.back();
-    frames_.pop_back();
-    while (stack_.size() > frame.base) {
-      machine_.release(stack_.back().value);
-      stack_.pop_back();
-    }
-  }
-
-  std::optional<std::size_t> selectArgument(const PreprocessedEvent& event,
-                                            bool* consumedTemp) {
-    *consumedTemp = false;
-    bool chained = false;
-    for (const trace::PreprocessedObject& arg : event.args) {
-      if (arg.id != trace::kNoObject) {
-        chained = arg.chained;
-        break;
-      }
-    }
-    if (chained && !stack_.empty() && stack_.back().isTemp &&
-        stack_.back().value.isObject()) {
-      *consumedTemp = true;
-      return stack_.size() - 1;
-    }
-
-    const Frame& frame = frames_.back();
-    const double u = rng_.uniform();
-    std::optional<std::size_t> choice;
-    if (u < config_.argProb) {
-      choice = pickListItem(frame.base, frame.base + frame.argCount);
-    } else if (u < config_.argProb + config_.locProb) {
-      choice = pickListItem(frame.base + frame.argCount, stack_.size());
-    } else {
-      choice = pickListItem(0, frame.base);
-    }
-    if (!choice) choice = pickListItem(0, stack_.size());
-    return choice;
-  }
-
-  void disposeValue(Item value) {
-    const bool topLevelPressure =
-        frames_.size() == 1 && stack_.size() >= config_.topLevelStackBound;
-    if (!stack_.empty() &&
-        (topLevelPressure || rng_.chance(config_.bindProb))) {
-      const std::size_t index = rng_.below(stack_.size());
-      machine_.release(stack_[index].value);
-      value.isArgument = stack_[index].isArgument;
-      value.isTemp = stack_[index].isTemp;
-      stack_[index] = value;
-      return;
-    }
-    value.isArgument = false;
-    value.isTemp = true;
-    stack_.push_back(value);
-  }
-
   void onPrimitive(const PreprocessedEvent& event) {
     ++primitives_;
     // The hook fires between events and never draws from rng_, so the
@@ -205,87 +129,54 @@ class Replayer {
     }
 
     if (event.primitive == Primitive::kRead) {
-      Item item;
-      item.value = freshList(event.result.n, event.result.p);
-      disposeValue(item);
+      ep_.disposeValue(
+          MachineOps{machine_}.readIn(event.result.n, event.result.p));
       return;
     }
 
-    bool consumedTemp = false;
-    std::optional<std::size_t> argIndex =
-        selectArgument(event, &consumedTemp);
-    if (!argIndex) {
-      // No list value on the stack: materialize the recorded shape.
-      const std::uint32_t n = event.args.empty() ? 1 : event.args[0].n;
-      const std::uint32_t p = event.args.empty() ? 0 : event.args[0].p;
-      Item item;
-      item.value = freshList(n, p);
-      stack_.push_back(item);
-      argIndex = stack_.size() - 1;
-    }
-
-    // ReadProb: the variable was re-read since last access.
-    if (!consumedTemp && rng_.chance(config_.readProb)) {
-      Item& item = stack_[*argIndex];
-      if (item.value.isObject()) {
-        const std::uint32_t n = event.args.empty() ? 1 : event.args[0].n;
-        const std::uint32_t p = event.args.empty() ? 0 : event.args[0].p;
-        machine_.release(item.value);
-        item.value = freshList(n, p);
-      }
-    }
-
-    const Value arg = stack_[*argIndex].value;
+    const auto operand = ep_.selectOperand(event);
+    const Value arg = ep_.value(operand.index);
     auto finishTemp = [&] {
-      if (consumedTemp) {
-        machine_.release(stack_.back().value);
-        stack_.pop_back();
-      }
+      if (operand.consumedTemp) ep_.popTop();
     };
 
     switch (event.primitive) {
       case Primitive::kCar:
       case Primitive::kCdr: {
-        Item item;
+        Value result;
         if (arg.isObject() || arg.kind == Value::Kind::kNil) {
-          item.value = event.primitive == Primitive::kCar
-                           ? machine_.car(arg)
-                           : machine_.cdr(arg);
+          result = event.primitive == Primitive::kCar ? machine_.car(arg)
+                                                      : machine_.cdr(arg);
         }  // car/cdr of a non-nil atom: nil result, no machine activity
         finishTemp();
-        disposeValue(item);
+        ep_.disposeValue(result);
         break;
       }
       case Primitive::kCons:
       case Primitive::kAppend: {
-        const std::optional<std::size_t> other =
-            pickListItem(0, stack_.size());
-        const Value tail = other ? stack_[*other].value : arg;
-        Item item;
-        item.value = machine_.cons(arg, tail);
+        const std::optional<std::size_t> other = ep_.pickAnyList();
+        const Value tail = other ? ep_.value(*other) : arg;
+        const Value result = machine_.cons(arg, tail);
         finishTemp();
-        disposeValue(item);
+        ep_.disposeValue(result);
         break;
       }
       case Primitive::kRplaca:
       case Primitive::kRplacd: {
         if (arg.isObject()) {
-          const std::optional<std::size_t> other =
-              pickListItem(0, stack_.size());
+          const std::optional<std::size_t> other = ep_.pickAnyList();
           if (other) {
             if (event.primitive == Primitive::kRplaca) {
-              machine_.rplaca(arg, stack_[*other].value);
+              machine_.rplaca(arg, ep_.value(*other));
             } else {
-              machine_.rplacd(arg, stack_[*other].value);
+              machine_.rplacd(arg, ep_.value(*other));
             }
           }
         }
         // rplac returns its (modified) first argument.
-        Item item;
-        item.value = arg;
-        machine_.retain(item.value);
+        machine_.retain(arg);
         finishTemp();
-        disposeValue(item);
+        ep_.disposeValue(arg);
         break;
       }
       case Primitive::kAtom:
@@ -293,7 +184,7 @@ class Replayer {
       case Primitive::kEqual:
       case Primitive::kWrite: {
         finishTemp();
-        disposeValue(Item{});  // predicates produce atoms
+        ep_.disposeValue(Value{});  // predicates produce atoms
         break;
       }
       case Primitive::kRead:
@@ -301,11 +192,9 @@ class Replayer {
     }
   }
 
-  ReplayConfig config_;
   support::Rng rng_;
   SmallMachine machine_;
-  std::vector<Item> stack_;
-  std::vector<Frame> frames_;
+  EpModel<MachineOps> ep_;
   std::uint64_t primitives_ = 0;
   std::uint64_t functionCalls_ = 0;
   const ReplayHook* hook_ = nullptr;

@@ -2,15 +2,14 @@
 //
 // The five workload programs drive `Simulator` statistically; this
 // replayer drives `SmallMachine` — real list structure in a real heap —
-// from the same preprocessed traces, mirroring the Simulator's EP model:
-// a control/binding stack updated on function enter/exit, arguments
-// selected by the chaining flag or the ArgProb/LocProb probabilities,
-// ReadProb re-reads, and BindProb result disposition. Fresh list values
-// are synthesized deterministically from each event's recorded (n, p)
-// shape, and every random draw happens in replayer logic (never in the
-// machine), so one seed produces the *identical* operation sequence on
-// every heap backend. The machine's representation-independent counters
-// must therefore agree across backends, while the per-backend HeapStats
+// from the same preprocessed traces, through the same EP model as the
+// Simulator: the shared core::EpModel (small/ep_model.hpp) at the
+// §5.2.1 probabilities, over a machine adapter. Fresh list values are
+// synthesized deterministically from each event's recorded (n, p) shape,
+// and every random draw happens in replayer logic (never in the machine),
+// so one seed produces the *identical* operation sequence on every heap
+// backend. The machine's representation-independent counters must
+// therefore agree across backends, while the per-backend HeapStats
 // diverge — which is exactly the comparison bench/heap_backend_comparison
 // tabulates.
 #pragma once
@@ -30,21 +29,6 @@ namespace small::core {
 
 struct ReplayConfig {
   SmallMachine::Config machine;
-
-  // EP-model probabilities, as in SimConfig (§5.2.1 values).
-  double argProb = 0.60;
-  double locProb = 0.30;
-  double bindProb = 0.01;
-  double readProb = 0.01;
-
-  /// Cap on synthesized list sizes: recorded (n, p) shapes are clamped so
-  /// one readlist cannot swamp the table.
-  std::uint32_t maxShapeSymbols = 64;
-
-  /// Once the top-level frame holds this many items, pushed results
-  /// replace random bindings instead (keeps the stack O(call depth)).
-  std::size_t topLevelStackBound = 256;
-
   std::uint64_t seed = 1;
 
   ReplayConfig() { machine.tableSize = 2048; }

@@ -4,23 +4,23 @@
 //  binding stack over the function calls and list manipulating primitives
 //  of a trace."
 //
-// The Evaluation Processor is modeled as the thesis models it: a control/
-// binding stack updated on every function enter/exit, with the argument of
-// each primitive chosen by the chaining flag or by the ArgProb/LocProb
-// probabilities, rebinding with probability ReadProb, and result
-// disposition governed by BindProb. The List Processor executes each
-// primitive against the LPT; an optional comparison data cache observes the
-// same access stream through the conventional-memory address shadow.
+// The Evaluation Processor is the shared core::EpModel (small/ep_model.hpp):
+// a control/binding stack updated on every function enter/exit, with the
+// argument of each primitive chosen by the chaining flag or by the
+// ArgProb/LocProb probabilities, rebinding with probability ReadProb, and
+// result disposition governed by BindProb. The List Processor executes
+// each primitive against the LPT; an optional comparison data cache
+// observes the same access stream through the conventional-memory address
+// shadow.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include "cache/lru_cache.hpp"
 #include "obs/snapshot.hpp"
 #include "small/config.hpp"
+#include "small/ep_model.hpp"
 #include "small/list_processor.hpp"
 #include "support/stats.hpp"
 #include "trace/preprocess.hpp"
@@ -66,42 +66,41 @@ class Simulator {
   SimResult run();
 
  private:
-  struct StackItem {
+  /// A stack value as the statistical LP sees it: an atom, an LPT entry,
+  /// or a "large" bypass-mode address (§4.3.2.3).
+  struct EpValue {
     enum class Kind : std::uint8_t { kAtom, kEntry, kLarge };
     Kind kind = Kind::kAtom;
     EntryId id = kNoEntry;
-    bool isArgument = false;  ///< function argument vs local/temporary
-    bool isTemp = false;      ///< pushed value, consumable by chaining;
-                              ///< never true for bindings, whose stack
-                              ///< slots must survive until function exit
+
+    /// What a readList result denotes: its entry, or a large address
+    /// when it returned kNoEntry (bypass mode).
+    static EpValue list(EntryId id) {
+      return {id == kNoEntry ? Kind::kLarge : Kind::kEntry, id};
+    }
   };
 
-  struct Frame {
-    std::size_t base = 0;       ///< stack index of the first item
-    std::uint8_t argCount = 0;  ///< leading items that are arguments
+  /// The EpModel adapter: EP reference messages to the ListProcessor.
+  struct LpOps {
+    using Value = EpValue;
+    ListProcessor& lp;
+
+    static bool isList(const EpValue& value) {
+      return value.kind != EpValue::Kind::kAtom;
+    }
+    void retain(const EpValue& value);
+    void release(const EpValue& value);
+    EpValue readIn(std::uint32_t n, std::uint32_t p);
+    void reread(EpValue& value, std::uint32_t n, std::uint32_t p);
   };
 
-  void onFunctionEnter(const trace::PreprocessedEvent& event);
-  void onFunctionExit();
   void onPrimitive(const trace::PreprocessedEvent& event);
-
-  /// Index of the stack item chosen as this primitive's list argument, or
-  /// nullopt if a fresh read-in is required. `consumedTemp` is set when
-  /// the chained top-of-stack temporary was taken.
-  std::optional<std::size_t> selectArgument(
-      const trace::PreprocessedEvent& event, bool* consumedTemp);
-
-  /// Pick a random stack index holding a list (entry or large) within
-  /// [lo, hi); nullopt if none.
-  std::optional<std::size_t> pickListItem(std::size_t lo, std::size_t hi);
-
-  void releaseItem(const StackItem& item);
   void pushResult(const AccessResult& result);
-  void disposeValue(StackItem value);
-  void touchCache(const StackItem& item, bool countIt);
+  void touchCache(const EpValue& value, bool countIt);
   void sampleOccupancy();
 #ifdef SMALL_SIM_VERIFY
   void verifyStackRefs(const char* where);
+  void verifyRefCounts(const trace::PreprocessedEvent& event);
 #endif
 
   SimConfig config_;
@@ -109,9 +108,7 @@ class Simulator {
   support::Rng rng_;
   ListProcessor lp_;
   std::unique_ptr<cache::LruCache> cache_;
-
-  std::vector<StackItem> stack_;
-  std::vector<Frame> frames_;
+  EpModel<LpOps> ep_;
 
   std::uint64_t cacheHits_ = 0;
   std::uint64_t cacheMisses_ = 0;
