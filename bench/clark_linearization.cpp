@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   };
 
   // 1. single-list sequential build (the common case).
-  for (const auto [policy, name] :
+  for (const auto& [policy, name] :
        {std::pair{ConsPolicy::kNaive, "naive"},
         std::pair{ConsPolicy::kClever, "clever"}}) {
     LinearizingHeap heap(policy);
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   }
 
   // 2. interleaved builds (allocation streams collide).
-  for (const auto [policy, name] :
+  for (const auto& [policy, name] :
        {std::pair{ConsPolicy::kNaive, "naive"},
         std::pair{ConsPolicy::kClever, "clever"}}) {
     support::Rng local(7);

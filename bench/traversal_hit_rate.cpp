@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   support::TextTable table({"n", "p", "splits (=n+p)", "hits",
                             "hit rate", "analytic"});
   support::Rng rng(7);
-  for (const auto [n, p] : std::vector<std::pair<int, int>>{
+  for (const auto& [n, p] : std::vector<std::pair<int, int>>{
            {5, 0}, {10, 2}, {20, 5}, {74, 20}, {200, 40}}) {
     core::SimConfig config;
     config.tableSize = 1u << 18;

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "obs/json.hpp"
-#include "obs/registry.hpp"
 
 namespace small::obs {
 
@@ -37,41 +36,6 @@ Span::~Span() {
   event.costUnits = extraCost_ + (cost_ != nullptr ? *cost_ - costStart_ : 0);
   event.depth = depth_;
   sink_->record(std::move(event));
-}
-
-PhaseTimer::PhaseTimer(Registry* registry, const char* metric,
-                       TraceSink* sink, const char* name,
-                       const std::uint64_t* cost)
-    : registry_(registry),
-      metric_(metric),
-      sink_(sink),
-      name_(name),
-      cost_(cost) {
-  if (sink_ != nullptr) {
-    startUs_ = wallMicrosNow();
-    depth_ = sink_->depth_++;
-  }
-  if (cost_ != nullptr) costStart_ = *cost_;
-}
-
-PhaseTimer::~PhaseTimer() {
-  const std::uint64_t costDur =
-      extraCost_ + (cost_ != nullptr ? *cost_ - costStart_ : 0);
-  if (registry_ != nullptr) {
-    registry_->histogram(metric_).add(static_cast<std::int64_t>(costDur));
-  }
-  if (sink_ != nullptr) {
-    --sink_->depth_;
-    TraceEvent event;
-    event.name = name_;
-    event.category = "phase";
-    event.tid = sink_->tid();
-    event.startUs = startUs_;
-    event.durUs = wallMicrosNow() - startUs_;
-    event.costUnits = costDur;
-    event.depth = depth_;
-    sink_->record(std::move(event));
-  }
 }
 
 void appendChromeSpanEvents(const std::vector<const TraceSink*>& sinks,

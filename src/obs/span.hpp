@@ -10,8 +10,7 @@
 //     `args`, so a Perfetto query can aggregate them per span name.
 // Wall-clock values are inherently nondeterministic, which is why spans
 // are exported only through `--trace-out`; the byte-identical
-// `--metrics-out` path carries cost units alone (obs::PhaseTimer feeds a
-// Registry histogram).
+// `--metrics-out` path carries cost units alone.
 //
 // A null sink disables everything: `Span span(nullptr, ...)` compiles to
 // two pointer checks, so instrumented hot paths cost nothing until a bench
@@ -26,8 +25,6 @@
 #include <vector>
 
 namespace small::obs {
-
-class Registry;
 
 /// Microseconds since the process-wide steady epoch (first use).
 std::uint64_t wallMicrosNow();
@@ -60,7 +57,6 @@ class TraceSink {
 
  private:
   friend class Span;
-  friend class PhaseTimer;
   std::uint32_t tid_;
   std::uint32_t depth_ = 0;
   std::vector<TraceEvent> events_;
@@ -85,33 +81,6 @@ class Span {
   TraceSink* sink_;
   const char* name_;
   const char* category_;
-  const std::uint64_t* cost_;
-  std::uint64_t startUs_ = 0;
-  std::uint64_t costStart_ = 0;
-  std::uint64_t extraCost_ = 0;
-  std::uint32_t depth_ = 0;
-};
-
-/// A phase timer: a Span that additionally folds its cost-unit duration
-/// into `registry`'s histogram `metric` on exit — the deterministic side
-/// of the pause accounting (the histogram merges bucket-wise, so sweep
-/// output stays byte-identical). Either sink or registry may be null.
-class PhaseTimer {
- public:
-  PhaseTimer(Registry* registry, const char* metric, TraceSink* sink,
-             const char* name, const std::uint64_t* cost = nullptr);
-  ~PhaseTimer();
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
-  void addCost(std::uint64_t units) { extraCost_ += units; }
-
- private:
-  Registry* registry_;
-  const char* metric_;
-  TraceSink* sink_;
-  const char* name_;
   const std::uint64_t* cost_;
   std::uint64_t startUs_ = 0;
   std::uint64_t costStart_ = 0;

@@ -203,10 +203,6 @@ class Generator {
     Locale& loc = locale();
     loc.recent.push_back(fp);
     if (loc.recent.size() > 32) loc.recent.pop_front();
-    // Maintain the locale LRU order for core-switch selection.
-    const auto it = std::ranges::find(localeLru_, currentLocale_);
-    if (it != localeLru_.end()) localeLru_.erase(it);
-    localeLru_.push_back(currentLocale_);
   }
 
   void maybeSwitchLocale(Trace& trace, bool allowNewLocale) {
@@ -271,7 +267,6 @@ class Generator {
     loc.recent.push_back(fp);
     locales_.push_back(std::move(loc));
     currentLocale_ = locales_.size() - 1;
-    localeLru_.push_back(currentLocale_);
     // The fresh object is the previous result now; chains may hang off it
     // (it belongs to the new current locale).
     lastResult_ = fp;
@@ -433,8 +428,9 @@ class Generator {
         lastResult_ = 0;
         break;
       }
-      case Primitive::kRead:
-        break;  // handled above
+      case Primitive::kAppend:  // never chosen by choosePrimitive()
+      case Primitive::kRead:    // handled above
+        break;
     }
     trace.append(std::move(event));
     ++emitted_;
@@ -448,7 +444,6 @@ class Generator {
   std::unordered_map<std::uint64_t, SyntheticObject> objects_;
   std::uint64_t nextFp_ = 1;
   std::vector<Locale> locales_;
-  std::vector<std::size_t> localeLru_;
   std::size_t currentLocale_ = 0;
   std::uint64_t lastResult_ = 0;
   std::uint64_t emitted_ = 0;  ///< primitive events appended so far

@@ -184,7 +184,9 @@ TEST_P(LruMattsonEquivalence, InclusionProperty) {
     const bool hitSmall = smaller.access(a);
     const bool hitLarge = larger.access(a);
     // A hit in the smaller cache implies a hit in the larger one.
-    if (hitSmall) EXPECT_TRUE(hitLarge);
+    if (hitSmall) {
+      EXPECT_TRUE(hitLarge);
+    }
   }
   EXPECT_GE(larger.hitRate(), smaller.hitRate());
 }

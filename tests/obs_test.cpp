@@ -314,21 +314,6 @@ TEST(ObsSpan, NestingDepthsRecorded) {
   EXPECT_EQ(sink.events()[3].depth, 0u);
 }
 
-TEST(ObsSpan, PhaseTimerFeedsHistogramAndSink) {
-  obs::Registry registry;
-  obs::TraceSink sink;
-  {
-    obs::PhaseTimer timer(&registry, "phase.units", &sink, "phase");
-    timer.addCost(7);
-    timer.addCost(5);
-  }
-  const support::Histogram* hist = registry.findHistogram("phase.units");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->total(), 1u);
-  ASSERT_EQ(sink.events().size(), 1u);
-  EXPECT_EQ(sink.events()[0].costUnits, 12u);
-}
-
 TEST(ObsSpan, ChromeExportFieldsParse) {
   obs::TraceSink sink;
   sink.setTid(3);

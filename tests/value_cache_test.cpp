@@ -120,7 +120,9 @@ TEST(ValueCache, AgreesWithDeepBindingOnRandomScripts) {
       const auto a = cached.lookup(name);
       const auto b = plain.lookup(name);
       ASSERT_EQ(a.has_value(), b.has_value());
-      if (a) ASSERT_EQ(*a, *b);
+      if (a) {
+        ASSERT_EQ(*a, *b);
+      }
     }
   }
 }
