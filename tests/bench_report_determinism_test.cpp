@@ -12,17 +12,14 @@
 #include <string>
 
 #include "obs/json.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
 using small::obs::JsonError;
 using small::obs::JsonValue;
 using small::obs::parseJson;
-
-std::string tempPath(const std::string& name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-}
+using small::test::tempPath;
 
 int runCommand(const std::string& command) {
   const int status = std::system(command.c_str());

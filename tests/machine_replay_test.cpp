@@ -13,6 +13,7 @@
 #include "trace/binary.hpp"
 #include "trace/preprocess.hpp"
 #include "trace/synthetic.hpp"
+#include "temp_path.hpp"
 
 namespace small::core {
 namespace {
@@ -113,8 +114,7 @@ TEST(MachineReplay, MappedReplayMatchesInMemoryReplay) {
   config.machine.tableSize = 256;
   const ReplayResult expected = replayTrace(config, trace::preprocess(raw));
 
-  const std::string path =
-      ::testing::TempDir() + "/small_replay_mapped.trace";
+  const std::string path = test::tempPath("mapped.trace");
   trace::saveBinaryFile(raw, path);
   const trace::MappedTrace mapped = trace::MappedTrace::open(path);
   for (const std::size_t batchSize :

@@ -21,6 +21,7 @@
 #include "trace/io.hpp"
 #include "trace/preprocess.hpp"
 #include "trace/synthetic.hpp"
+#include "temp_path.hpp"
 
 namespace small::multilisp {
 namespace {
@@ -269,8 +270,8 @@ TEST(Service, MappedSourcesMatchPreprocessedSources) {
   for (int t = 0; t < tenants; ++t) {
     const trace::Trace& trace = raw[static_cast<std::size_t>(t)];
     pre.push_back(trace::preprocess(trace));
-    const std::string path = ::testing::TempDir() + "/small_service_" +
-                             std::to_string(t) + ".smtr";
+    const std::string path =
+        test::tempPath("tenant" + std::to_string(t) + ".smtr");
     trace::saveFile(trace, path, trace::FileFormat::kBinary);
     files.push_back(path);
     mapped.push_back(trace::MappedTrace::open(path));

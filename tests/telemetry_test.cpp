@@ -12,12 +12,11 @@
 #include <fstream>
 #include <string>
 
+#include "temp_path.hpp"
+
 namespace {
 
-std::string tempPath(const std::string& name) {
-  const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-}
+using small::test::tempPath;
 
 int runCommand(const std::string& command) {
   const int status = std::system(command.c_str());

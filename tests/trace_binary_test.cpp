@@ -19,13 +19,12 @@
 #include "trace/preprocess.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace.hpp"
+#include "temp_path.hpp"
 
 namespace small::trace {
 namespace {
 
-std::string tempPath(const char* stem) {
-  return ::testing::TempDir() + "/small_binary_" + stem + ".trace";
-}
+using small::test::tempPath;
 
 Event primitiveEvent(Primitive p, std::vector<ObjectRecord> args,
                      ObjectRecord result) {
@@ -118,7 +117,7 @@ void writeBytes(const std::string& path, const std::string& bytes) {
 
 /// What MappedTrace::open + toTrace say about the bytes, or "" if clean.
 std::string binaryError(const std::string& stem, const std::string& bytes) {
-  const std::string path = tempPath(stem.c_str());
+  const std::string path = tempPath(stem + ".trace");
   writeBytes(path, bytes);
   std::string message;
   try {
@@ -139,7 +138,7 @@ bool contains(const std::string& haystack, const std::string& needle) {
 
 TEST(BinaryTrace, RoundTripPreservesEverything) {
   const Trace trace = sampleTrace();
-  const std::string path = tempPath("roundtrip");
+  const std::string path = tempPath("roundtrip.trace");
   saveBinaryFile(trace, path);
   const MappedTrace mapped = MappedTrace::open(path);
   EXPECT_EQ(mapped.version(), kBinaryTraceVersion);
@@ -152,7 +151,7 @@ TEST(BinaryTrace, RoundTripPreservesEverything) {
 TEST(BinaryTrace, MatchesTextRoundTripOnSyntheticWorkload) {
   support::Rng rng(7);
   const Trace trace = generate(slangProfile(0.05), rng);
-  const std::string binPath = tempPath("synthetic");
+  const std::string binPath = tempPath("synthetic.trace");
   saveBinaryFile(trace, binPath);
   std::stringstream text;
   save(trace, text);
@@ -182,7 +181,7 @@ TEST(BinaryTrace, EscapedNamesRoundTrip) {
     exit.functionId = enter.functionId;
     trace.append(exit);
   }
-  const std::string path = tempPath("escaped");
+  const std::string path = tempPath("escaped.trace");
   saveBinaryFile(trace, path);
   const Trace loaded = MappedTrace::open(path).toTrace();
   expectTracesEqual(trace, loaded);
@@ -198,7 +197,7 @@ TEST(BinaryTrace, EscapedNamesRoundTrip) {
 TEST(BinaryTrace, ZeroLengthTraceRoundTrips) {
   Trace trace;
   trace.name = "empty-but-named";
-  const std::string path = tempPath("zerolen");
+  const std::string path = tempPath("zerolen.trace");
   saveBinaryFile(trace, path);
   const MappedTrace mapped = MappedTrace::open(path);
   EXPECT_EQ(mapped.recordCount(), 0u);
@@ -214,7 +213,7 @@ TEST(BinaryTrace, AbsentNameHeaderRoundTrips) {
   std::stringstream text("E f 1\nX f\n");
   const Trace trace = load(text);
   EXPECT_TRUE(trace.name.empty());
-  const std::string path = tempPath("noname");
+  const std::string path = tempPath("noname.trace");
   saveBinaryFile(trace, path);
   const Trace loaded = MappedTrace::open(path).toTrace();
   EXPECT_TRUE(loaded.name.empty());
@@ -227,7 +226,7 @@ TEST(BinaryTrace, AbsentNameHeaderRoundTrips) {
 TEST(BinaryTrace, BatchedDecodeMatchesToTraceAtEveryBatchSize) {
   support::Rng rng(9);
   const Trace trace = generate(plagenProfile(0.02), rng);
-  const std::string path = tempPath("batched");
+  const std::string path = tempPath("batched.trace");
   saveBinaryFile(trace, path);
   const MappedTrace mapped = MappedTrace::open(path);
   const Trace whole = mapped.toTrace();
@@ -262,7 +261,7 @@ TEST(BinaryTrace, BatchedDecodeMatchesToTraceAtEveryBatchSize) {
 TEST(BinaryTrace, PreprocessMappedMatchesPreprocess) {
   support::Rng rng(11);
   const Trace trace = generate(editorProfile(0.05), rng);
-  const std::string path = tempPath("preprocess");
+  const std::string path = tempPath("preprocess.trace");
   saveBinaryFile(trace, path);
   const MappedTrace mapped = MappedTrace::open(path);
   const PreprocessedTrace expected = preprocess(trace);
@@ -292,7 +291,7 @@ TEST(BinaryTrace, PreprocessMappedMatchesPreprocess) {
 
 TEST(BinaryTrace, LoadFileSniffsBinary) {
   const Trace trace = sampleTrace();
-  const std::string path = tempPath("sniff");
+  const std::string path = tempPath("sniff.trace");
   saveFile(trace, path, FileFormat::kBinary);
   EXPECT_EQ(sniffFileFormat(path), FileFormat::kBinary);
   expectTracesEqual(trace, loadFile(path));
@@ -303,7 +302,7 @@ TEST(BinaryTrace, LoadFileSniffsBinary) {
 }
 
 TEST(BinaryTrace, EmptyFileIsADistinctError) {
-  const std::string path = tempPath("emptyfile");
+  const std::string path = tempPath("emptyfile.trace");
   writeBytes(path, "");
   try {
     loadFile(path);
@@ -316,7 +315,7 @@ TEST(BinaryTrace, EmptyFileIsADistinctError) {
 }
 
 TEST(BinaryTrace, TextParseErrorsCarryThePath) {
-  const std::string path = tempPath("badtext");
+  const std::string path = tempPath("badtext.trace");
   writeBytes(path, "E f 1\nQ bogus\n");
   try {
     loadFile(path);
@@ -397,7 +396,7 @@ TEST(BinaryRobustness, NameTableIndexOutOfRange) {
 
 TEST(BinaryRobustness, CorruptedValidFileVariants) {
   const Trace trace = sampleTrace();
-  const std::string path = tempPath("mutate");
+  const std::string path = tempPath("mutate.trace");
   saveBinaryFile(trace, path);
   const std::string good = fileBytes(path);
   std::remove(path.c_str());
@@ -485,7 +484,7 @@ TEST(BinaryRobustness, MalformedRecordFields) {
 /// (same path, so the messages can be compared byte-for-byte).
 std::pair<std::string, std::string> bothBackingErrors(
     const char* stem, const std::string& bytes) {
-  const std::string path = tempPath(stem);
+  const std::string path = tempPath(std::string(stem) + ".trace");
   writeBytes(path, bytes);
   const auto attempt = [&](MappedTrace::Backing backing) {
     std::string message;
@@ -506,7 +505,7 @@ std::pair<std::string, std::string> bothBackingErrors(
 
 TEST(BackingParity, BufferedBackingDecodesIdentically) {
   const Trace trace = sampleTrace();
-  const std::string path = tempPath("buffered");
+  const std::string path = tempPath("buffered.trace");
   saveBinaryFile(trace, path);
   const MappedTrace buffered =
       MappedTrace::open(path, MappedTrace::Backing::kBuffered);
@@ -549,7 +548,7 @@ TEST(BackingParity, HeaderOnlyTruncationSameErrorBothBackings) {
 
 TEST(BackingParity, EveryTruncationPrefixAgreesAcrossBackings) {
   const Trace trace = sampleTrace();
-  const std::string path = tempPath("parity_prefix");
+  const std::string path = tempPath("parity_prefix.trace");
   saveBinaryFile(trace, path);
   const std::string good = fileBytes(path);
   std::remove(path.c_str());
@@ -562,7 +561,7 @@ TEST(BackingParity, EveryTruncationPrefixAgreesAcrossBackings) {
 }
 
 TEST(BinaryRobustness, ErrorsNameTheFileAndOffset) {
-  const std::string path = tempPath("context");
+  const std::string path = tempPath("context.trace");
   writeBytes(path, "SMTRxxxx");
   try {
     MappedTrace::open(path);

@@ -17,15 +17,13 @@
 #include "trace/binary.hpp"
 #include "trace/io.hpp"
 #include "trace/trace.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
 using namespace small;
-
-std::string tempPath(const std::string& name) {
-  return ::testing::TempDir() + "/small_tracegen_" + name;
-}
+using small::test::tempPath;
 
 int runCommand(const std::string& command) {
   const int status = std::system(command.c_str());

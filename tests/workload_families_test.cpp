@@ -19,16 +19,14 @@
 #include "trace/io.hpp"
 #include "trace/preprocess.hpp"
 #include "workloads/families/family.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
 using namespace small;
+using small::test::tempPath;
 namespace fam = workloads::families;
-
-std::string tempPath(const std::string& name) {
-  return ::testing::TempDir() + "/small_families_" + name;
-}
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
