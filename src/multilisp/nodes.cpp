@@ -57,14 +57,16 @@ TrafficReport NodeSystem::run(std::uint64_t events) {
     const bool doCopy =
         rng_.chance(params_.copyFraction) || mine.size() < 4;
     if (doCopy) {
+      // `owner` is copied out: the push below may reallocate `mine`.
       HeldRef& source = mine[index];
-      const WeightedRef clone = tables_[source.ownerNode].copy(source.ref);
+      const std::uint32_t owner = source.ownerNode;
+      const WeightedRef clone = tables_[owner].copy(source.ref);
       const auto receiver =
           static_cast<std::uint32_t>(rng_.below(params_.nodeCount));
-      held_[receiver].push_back(HeldRef{source.ownerNode, clone});
+      held_[receiver].push_back(HeldRef{owner, clone});
       // Plain counting: a copy of a remote pointer costs an increment
       // message to the owner. Weighting: free.
-      if (source.ownerNode != node) ++report.plainMessages;
+      if (owner != node) ++report.plainMessages;
     } else {
       const HeldRef victim = mine[index];
       mine[index] = mine.back();
