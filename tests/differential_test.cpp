@@ -146,6 +146,10 @@ const ProgramCase kBattery[] = {
      ""},
 };
 
+// gtest's default printer dumps the raw bytes, pointers included, into the
+// test names CTest discovers; printing the case name keeps them stable.
+void PrintTo(const ProgramCase& c, std::ostream* os) { *os << c.name; }
+
 class Battery : public ::testing::TestWithParam<ProgramCase> {};
 
 TEST_P(Battery, AllThreeEnginesAgree) {

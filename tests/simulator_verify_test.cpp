@@ -21,6 +21,10 @@ struct VerifyCase {
   ReclaimPolicy reclaim;
 };
 
+// gtest's default printer dumps the raw bytes, pointers included, into the
+// test names CTest discovers; printing the case name keeps them stable.
+void PrintTo(const VerifyCase& c, std::ostream* os) { *os << c.name; }
+
 class VerifiedSim : public ::testing::TestWithParam<VerifyCase> {};
 
 TEST_P(VerifiedSim, InvariantsHoldThroughoutTheRun) {
