@@ -333,21 +333,17 @@ int main(int argc, char** argv) {
     report.setConfig("quick", quick);
     report.setConfig("max_sessions",
                      static_cast<std::int64_t>(maxSessions));
-    double bestRate = 0.0;
     for (const PerfPoint& point : perf) {
       const double rate =
           point.wallSeconds > 0.0
               ? static_cast<double>(point.primitives) / point.wallSeconds
               : 0.0;
-      if (rate > bestRate) bestRate = rate;
       const std::string tag = "s" + std::to_string(point.sessions);
       report.addFigure("svc.throughput." + tag + ".primitives_per_sec",
                        rate);
       report.addFigure("svc.lock." + tag + ".contended",
                        point.contended);
     }
-    report.registry().recordMax(obs::names::kSimPrimitivesPerSec,
-                                static_cast<std::uint64_t>(bestRate));
     obs::Registry& registry = report.registry();
     support::Histogram& contendedPerShard =
         registry.histogram(obs::names::kSvcLockContendedPerShard);

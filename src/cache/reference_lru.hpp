@@ -3,12 +3,9 @@
 //
 // `cache::LruCache` (lru_cache.hpp) is the production implementation — a
 // flat, allocation-free layout. This class keeps the obviously-correct
-// `std::list` + iterator-map form so that
-//   * the randomized differential test (tests/cache_test.cpp) can assert
-//     the flat cache agrees with it access by access, and
-//   * micro_lpt can measure the node-based baseline in the same run as
-//     the flat implementation (the BENCH_<date>.json before/after pair).
-// It is not used on any simulation hot path.
+// `std::list` + iterator-map form so that the randomized differential
+// test (tests/cache_test.cpp) can assert the flat cache agrees with it
+// access by access. It is not used on any simulation hot path.
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,7 @@
 //
 // The headline property: `conc` is O(1) (allocate one conc cell), versus
 // the two-pointer representation's append, which copies the first list's
-// spine — the contrast the representation micro-bench measures.
+// spine — the contrast HeapTest.ConcConcatenationIsOneCell pins.
 #pragma once
 
 #include <cstdint>

@@ -7,8 +7,8 @@
 //   * shallow binding — a value cell per name (the oblist) plus a stack of
 //     shadowed bindings restored on return; lookup is O(1), calls pay for
 //     the cell swaps.
-// Both are provided behind one interface so the interpreter (and the
-// micro-benchmarks contrasting them) can switch disciplines.
+// Both are provided behind one interface so the tests can hold them to the
+// same semantics; the interpreter runs deep binding.
 #pragma once
 
 #include <cstdint>

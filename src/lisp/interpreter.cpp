@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "lisp/value_cache.hpp"
 #include "obs/names.hpp"
 #include "obs/registry.hpp"
 #include "support/error.hpp"
@@ -85,19 +84,7 @@ Interpreter::Interpreter(sexpr::Arena& arena, sexpr::SymbolTable& symbols,
     : arena_(arena),
       symbols_(symbols),
       options_(options),
-      syms_(std::make_unique<Syms>(symbols)) {
-  switch (options_.binding) {
-    case BindingDiscipline::kDeep:
-      env_ = std::make_unique<DeepBindingEnv>();
-      break;
-    case BindingDiscipline::kShallow:
-      env_ = std::make_unique<ShallowBindingEnv>();
-      break;
-    case BindingDiscipline::kCachedDeep:
-      env_ = std::make_unique<ValueCachedDeepEnv>();
-      break;
-  }
-}
+      syms_(std::make_unique<Syms>(symbols)) {}
 
 Interpreter::~Interpreter() = default;
 
@@ -158,7 +145,7 @@ NodeRef Interpreter::evalForm(NodeRef form) {
     case NodeKind::kSymbol: {
       const SymbolId name = arena_.symbolId(form);
       if (name == syms_->t) return form;
-      const std::optional<NodeRef> value = env_->lookup(name);
+      const std::optional<NodeRef> value = env_.lookup(name);
       if (!value) {
         error("unbound variable '" + symbols_.name(name) + "'");
       }
@@ -251,7 +238,7 @@ NodeRef Interpreter::evalCall(SymbolId head, NodeRef argForms) {
   }
 
   // --- a variable bound to a lambda? (funargs) ---
-  if (const std::optional<NodeRef> bound = env_->lookup(head)) {
+  if (const std::optional<NodeRef> bound = env_.lookup(head)) {
     const NodeRef value = *bound;
     if (arena_.kind(value) == NodeKind::kCons &&
         arena_.kind(arena_.car(value)) == NodeKind::kSymbol &&
@@ -280,10 +267,10 @@ NodeRef Interpreter::evalCond(NodeRef clauses) {
 }
 
 NodeRef Interpreter::evalProg(NodeRef form) {
-  const Environment::Mark mark = env_->mark();
+  const Environment::Mark mark = env_.mark();
   // Bind locals to nil.
   for (NodeRef c = arena_.car(form); !arena_.isNil(c); c = arena_.cdr(c)) {
-    env_->bind(arena_.symbolId(arena_.car(c)), sexpr::kNilRef);
+    env_.bind(arena_.symbolId(arena_.car(c)), sexpr::kNilRef);
   }
   // Collect body forms and label positions.
   std::vector<NodeRef> body;
@@ -321,7 +308,7 @@ NodeRef Interpreter::evalProg(NodeRef form) {
   } catch (const ReturnSignal& signal) {
     result = signal.value;
   }
-  env_->unwindTo(mark);
+  env_.unwindTo(mark);
   return result;
 }
 
@@ -335,7 +322,7 @@ NodeRef Interpreter::evalSetq(NodeRef rest) {
     rest = arena_.cdr(rest);
     if (arena_.isNil(rest)) error("setq: missing value form");
     value = evalForm(arena_.car(rest));
-    env_->assign(arena_.symbolId(nameNode), value);
+    env_.assign(arena_.symbolId(nameNode), value);
     rest = arena_.cdr(rest);
   }
   return value;
@@ -377,18 +364,18 @@ NodeRef Interpreter::evalDef(NodeRef rest) {
 }
 
 NodeRef Interpreter::evalLet(NodeRef rest) {
-  const Environment::Mark mark = env_->mark();
+  const Environment::Mark mark = env_.mark();
   for (NodeRef c = arena_.car(rest); !arena_.isNil(c); c = arena_.cdr(c)) {
     const NodeRef pair = arena_.car(c);
     const SymbolId name = arena_.symbolId(arena_.car(pair));
     const NodeRef value = evalForm(arena_.car(arena_.cdr(pair)));
-    env_->bind(name, value);
+    env_.bind(name, value);
   }
   NodeRef value = sexpr::kNilRef;
   for (NodeRef c = arena_.cdr(rest); !arena_.isNil(c); c = arena_.cdr(c)) {
     value = evalForm(arena_.car(c));
   }
-  env_->unwindTo(mark);
+  env_.unwindTo(mark);
   return value;
 }
 
@@ -413,10 +400,10 @@ NodeRef Interpreter::applyFunction(const Function& function,
   if (tracer_) {
     tracer_->onFunctionEnter(function.name, static_cast<int>(args.size()));
   }
-  const Environment::Mark mark = env_->mark();
-  env_->enterFrame();
+  const Environment::Mark mark = env_.mark();
+  env_.enterFrame();
   for (std::size_t i = 0; i < args.size(); ++i) {
-    env_->bind(function.params[i], args[i]);
+    env_.bind(function.params[i], args[i]);
   }
   NodeRef value = sexpr::kNilRef;
   try {
@@ -424,13 +411,13 @@ NodeRef Interpreter::applyFunction(const Function& function,
       value = evalForm(form);
     }
   } catch (...) {
-    env_->unwindTo(mark);
-    env_->exitFrame();
+    env_.unwindTo(mark);
+    env_.exitFrame();
     if (tracer_) tracer_->onFunctionExit(function.name);
     throw;
   }
-  env_->unwindTo(mark);
-  env_->exitFrame();
+  env_.unwindTo(mark);
+  env_.exitFrame();
   if (tracer_) tracer_->onFunctionExit(function.name);
   return value;
 }

@@ -31,16 +31,9 @@ class Registry;
 
 namespace small::lisp {
 
-enum class BindingDiscipline {
-  kDeep,        ///< association-list scan (Fig 2.3)
-  kShallow,     ///< oblist value cells + save stack (Fig 2.4)
-  kCachedDeep,  ///< deep binding behind a FACOM-style value cache (Fig 2.5)
-};
-
 class Interpreter {
  public:
   struct Options {
-    BindingDiscipline binding = BindingDiscipline::kDeep;
     std::uint64_t maxSteps = 100'000'000;  ///< eval-step budget per run()
   };
 
@@ -68,7 +61,6 @@ class Interpreter {
   const std::vector<NodeRef>& output() const { return output_; }
   void clearOutput() { output_.clear(); }
 
-  Environment& environment() { return *env_; }
   sexpr::Arena& arena() { return arena_; }
   sexpr::SymbolTable& symbols() { return symbols_; }
 
@@ -127,7 +119,7 @@ class Interpreter {
   sexpr::Arena& arena_;
   sexpr::SymbolTable& symbols_;
   Options options_;
-  std::unique_ptr<Environment> env_;
+  DeepBindingEnv env_;
   Tracer* tracer_ = nullptr;
 
   std::unordered_map<SymbolId, Function> functions_;

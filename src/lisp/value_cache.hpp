@@ -10,8 +10,7 @@
 // invalidated; a lookup miss falls back to the association-list scan and
 // installs the result; on return every entry tagged with the returning
 // frame is invalidated. This sits between plain deep binding (cheap
-// calls, expensive lookups) and shallow binding (the reverse), and the
-// `micro_interpreter` bench measures all three.
+// calls, expensive lookups) and shallow binding (the reverse).
 #pragma once
 
 #include <cstdint>

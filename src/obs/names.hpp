@@ -134,7 +134,7 @@ inline constexpr char kSvcQueueDepths[] = "svc.queue.depth_at_flush";
 inline constexpr char kSvcQueueDepth[] = "svc.queue.depth";
 inline constexpr char kSvcHeldRefs[] = "svc.held_refs";
 // The schedule-dependent family: lock traffic on the sharded LPT.
-// Perf plane only (stdout / --perf-out), like the sim.throughput rates.
+// Perf plane only (stdout / --perf-out).
 inline constexpr char kSvcLockAcquisitions[] = "svc.lock.acquisitions";
 inline constexpr char kSvcLockContended[] = "svc.lock.contended";
 inline constexpr char kSvcLockContendedPerShard[] =
@@ -144,36 +144,5 @@ inline constexpr char kSvcLockContendedPerShard[] =
 // observed replay rate.
 inline constexpr char kSvcShardContention[] = "svc.shard.contention";
 inline constexpr char kSvcReplayRate[] = "svc.replay.primitives_per_sec";
-
-// --- simulator throughput (micro-suite only) ---
-// Wall-clock-derived rates, recorded as maxima (best observed rate).
-// These are published by the micro suites' registries, never by the
-// table/figure benches: wall-clock values are not deterministic, and the
-// sweep benches' `--metrics-out` must stay byte-identical at any
-// `--jobs`. The `..._node_*` / `..._naive_*` / `..._map_*` variants are
-// the retained node-based baselines measured in the same run, so each
-// BENCH_<date> summary carries its own before/after pair.
-inline constexpr char kSimPrimitivesPerSec[] =
-    "sim.throughput.primitives_per_sec";
-inline constexpr char kSimCellsTouchedPerSec[] =
-    "sim.throughput.cells_touched_per_sec";
-inline constexpr char kSimLruFlatAccessesPerSec[] =
-    "sim.throughput.lru_flat_accesses_per_sec";
-inline constexpr char kSimLruNodeAccessesPerSec[] =
-    "sim.throughput.lru_node_accesses_per_sec";
-inline constexpr char kSimScanFlatEntriesPerSec[] =
-    "sim.throughput.inuse_scan_flat_entries_per_sec";
-inline constexpr char kSimScanNaiveEntriesPerSec[] =
-    "sim.throughput.inuse_scan_naive_entries_per_sec";
-inline constexpr char kSimEpDenseOpsPerSec[] =
-    "sim.throughput.ep_shadow_dense_ops_per_sec";
-inline constexpr char kSimEpMapOpsPerSec[] =
-    "sim.throughput.ep_shadow_map_ops_per_sec";
-// Trace ingestion: text-parse baseline vs mmap'd binary batched decode,
-// measured over the same workload trace by micro_trace.
-inline constexpr char kSimTraceTextParsePrimitivesPerSec[] =
-    "sim.throughput.trace_text_parse_primitives_per_sec";
-inline constexpr char kSimTraceBinaryDecodePrimitivesPerSec[] =
-    "sim.throughput.trace_binary_decode_primitives_per_sec";
 
 }  // namespace small::obs::names

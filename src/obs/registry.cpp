@@ -30,13 +30,6 @@ std::uint64_t Registry::maxValue(const std::string& name) const {
   return it != maxima_.end() ? it->second : 0;
 }
 
-std::vector<std::string> Registry::maxNames() const {
-  std::vector<std::string> names;
-  names.reserve(maxima_.size());
-  for (const auto& [name, value] : maxima_) names.push_back(name);
-  return names;
-}
-
 double Registry::gaugeValue(const std::string& name) const {
   const auto it = gauges_.find(name);
   return it != gauges_.end() ? it->second : 0.0;

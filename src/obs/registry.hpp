@@ -17,16 +17,15 @@
 //
 // Handles are stable pointers into node-based maps: after
 // `Counter c = registry.counter("lpt.ref_ops")`, `c.add(1)` is a plain
-// 64-bit increment with no lookup — cheap enough for hot paths (the
-// micro_lpt overhead gate). Registries are not internally synchronized;
-// the sweep discipline is one registry per task id (obs::ShardSet), merged
-// serially in id order afterwards.
+// 64-bit increment with no lookup — cheap enough for hot paths.
+// Registries are not internally synchronized; the sweep discipline is one
+// registry per task id (obs::ShardSet), merged serially in id order
+// afterwards.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "support/stats.hpp"
 
@@ -99,9 +98,6 @@ class Registry {
   /// Read accessors: 0 / empty when the metric does not exist.
   std::uint64_t counterValue(const std::string& name) const;
   std::uint64_t maxValue(const std::string& name) const;
-  /// Names of all max metrics, sorted (the map order). Lets callers
-  /// promote families of maxima (e.g. sim.throughput.*) into figures.
-  std::vector<std::string> maxNames() const;
   double gaugeValue(const std::string& name) const;
   const support::Histogram* findHistogram(const std::string& name) const;
 

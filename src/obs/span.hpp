@@ -14,7 +14,7 @@
 //
 // A null sink disables everything: `Span span(nullptr, ...)` compiles to
 // two pointer checks, so instrumented hot paths cost nothing until a bench
-// actually attaches a sink (the micro_lpt < 10% overhead gate).
+// actually attaches a sink.
 //
 // Sinks are single-threaded by design; the parallel sweep discipline is
 // one sink per task id (obs::ShardSet), concatenated in id order.
