@@ -282,7 +282,7 @@ class HeapBackend {
 
 /// The selectable representations.
 enum class HeapBackendKind : std::uint8_t {
-  kTwoPointer,    ///< Fig 2.6 two-pointer cells (heap/two_pointer.*)
+  kTwoPointer,    ///< Fig 2.6 two-pointer cells with a LIFO free list
   kCdrCoded,      ///< Fig 2.8 MIT-style cdr coding with invisible pointers
   kLinkedVector,  ///< Fig 2.7 linked vectors with indirection elements
 };
@@ -293,14 +293,6 @@ inline constexpr HeapBackendKind kAllHeapBackendKinds[] = {
 
 const char* heapBackendName(HeapBackendKind kind);
 
-struct HeapBackendOptions {
-  /// Linked-vector backend: elements per vector (>= 3 so a cdr pair plus
-  /// an indirection always fits).
-  std::uint32_t vectorSize = 8;
-};
-
-std::unique_ptr<HeapBackend> makeHeapBackend(HeapBackendKind kind,
-                                             const HeapBackendOptions&
-                                                 options = {});
+std::unique_ptr<HeapBackend> makeHeapBackend(HeapBackendKind kind);
 
 }  // namespace small::heap

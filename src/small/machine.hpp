@@ -58,7 +58,6 @@ class SmallMachine {
     /// logic (and its representation-independent counters) is identical
     /// across backends; only the physical heap activity differs.
     heap::HeapBackendKind heapBackend = heap::HeapBackendKind::kTwoPointer;
-    heap::HeapBackendOptions heapOptions;
     /// Heap reclamation discipline. kNone is the paper's machine: counts
     /// reaching zero queue eager heap frees (§4.3.3.1). The collector
     /// policies drop those frees and reclaim from the table's address
