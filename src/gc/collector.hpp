@@ -145,15 +145,15 @@ class Collector {
           .add(static_cast<std::int64_t>(pause));
     }
     if (obsSink_ != nullptr) {
-      obs::TraceEvent event;
-      event.name = name();
-      event.category = "gc";
-      event.tid = obsSink_->tid();
-      event.startUs = startUs;
-      event.durUs = obs::wallMicrosNow() - startUs;
-      event.costUnits = pause;
-      event.depth = obsSink_->depth();
-      obsSink_->record(std::move(event));
+      obsSink_->record(obs::TraceEvent{
+          .name = name(),
+          .category = "gc",
+          .tid = obsSink_->tid(),
+          .startUs = startUs,
+          .durUs = obs::wallMicrosNow() - startUs,
+          .costUnits = pause,
+          .depth = obsSink_->depth(),
+      });
     }
     pendingCollect_ = false;
     allocsSinceCollect_ = 0;

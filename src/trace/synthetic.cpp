@@ -1,6 +1,7 @@
 #include "trace/synthetic.hpp"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -55,7 +56,9 @@ class Generator {
         rootN_(support::makeGeometricTail(
             meanToRatio(profile.meanN * 1.35), 512)),
         rootP_(support::makeGeometricTail(
-            meanToRatio(profile.meanP * 1.25 + 1.0), 256)) {}
+            meanToRatio(profile.meanP * 1.25 + 1.0), 256)) {
+    functionIds_.fill(kUninterned);
+  }
 
   Trace run() {
     Trace trace;
@@ -280,8 +283,7 @@ class Generator {
     if (doCall) {
       Event enter;
       enter.kind = EventKind::kFunctionEnter;
-      enter.functionId = trace.internFunction(
-          "f" + std::to_string(rng_.below(24)));
+      enter.functionId = functionId(trace, rng_.below(kFunctionNames));
       std::uint8_t args = 0;
       while (args < 6 &&
              rng_.chance(profile_.meanFunctionArgs /
@@ -436,6 +438,22 @@ class Generator {
     ++emitted_;
   }
 
+  /// Id of synthetic function `f<k>` in `trace`, interned on the first
+  /// draw of k: the same function table, in the same order, as interning
+  /// on every call, without building the name each time.
+  std::uint32_t functionId(Trace& trace, std::uint64_t k) {
+    std::uint32_t& id = functionIds_[k];
+    if (id == kUninterned) {
+      std::string name = "f";
+      name += std::to_string(k);
+      id = trace.internFunction(name);
+    }
+    return id;
+  }
+
+  static constexpr std::size_t kFunctionNames = 24;
+  static constexpr std::uint32_t kUninterned = ~std::uint32_t{0};
+
   const WorkloadProfile& profile_;
   Rng& rng_;
   EmpiricalDistribution rootN_;
@@ -448,6 +466,7 @@ class Generator {
   std::uint64_t lastResult_ = 0;
   std::uint64_t emitted_ = 0;  ///< primitive events appended so far
   std::vector<std::uint32_t> callStack_;
+  std::array<std::uint32_t, kFunctionNames> functionIds_;
 };
 
 WorkloadProfile baseProfile(std::string name, std::uint64_t length,

@@ -207,8 +207,9 @@ class SexprFuzz : public ::testing::TestWithParam<std::uint64_t> {
       // Atom: symbol, integer, or nil.
       if (pick % 3 == 0) return arena.integer(static_cast<int>(pick % 97));
       if (pick % 3 == 1) return kNilRef;
-      return arena.symbol(
-          symbols.intern("s" + std::to_string(pick % 12)));
+      std::string name = "s";
+      name += std::to_string(pick % 12);
+      return arena.symbol(symbols.intern(name));
     }
     // Proper list of 0..4 elements.
     const int n = static_cast<int>((choice >> 17) % 5);
