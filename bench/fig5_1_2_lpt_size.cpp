@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   std::printf("Fig 5.2: maximum LPT occupancy intervals over %d reseeded "
               "runs\n", seeds);
   support::TextTable intervals(
-      {"Trace", "min knee", "mean", "max knee", "95%% ci half-width"});
+      {"Trace", "min knee", "mean", "max knee", "95% ci half-width"});
   // Per-task obs shards: each reseeded run contributes its counters to
   // its own id's shard; merged metrics are identical at any --jobs.
   const std::size_t taskCount =
