@@ -16,8 +16,8 @@
 # with TRACE_FORMAT=binary proves the binary format is a lossless mirror
 # of the text format all the way through the simulator (CI does both).
 #
-# The micro suites are intentionally not gated: their output contains
-# wall-clock timings.
+# Wall-clock cost is not gated here: perfbench/ measures it (perfbench/
+# smoke.py checks that it runs).
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
