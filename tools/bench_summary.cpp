@@ -5,7 +5,7 @@
 //       PATH...
 //
 // Each PATH is a report file or a directory scanned (sorted) for
-// *.jsonl / *.metrics.json files. The output, written to
+// *.jsonl files. The output, written to
 // DIR/BENCH_<date>.json (or --out FILE verbatim), is one JSON document:
 //
 //   {"type":"bench_summary","version":1,"date":"...",
@@ -40,9 +40,7 @@ struct BenchEntry {
 };
 
 bool looksLikeReport(const fs::path& path) {
-  const std::string name = path.filename().string();
-  return name.size() >= 6 &&
-         (name.ends_with(".jsonl") || name.ends_with(".metrics.json"));
+  return path.filename().string().ends_with(".jsonl");
 }
 
 bool mergeReportFile(const std::string& path,
