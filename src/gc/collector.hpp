@@ -31,6 +31,7 @@
 #include "obs/names.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "support/error.hpp"
 #include "support/stats.hpp"
 
 namespace small::gc {
@@ -54,12 +55,6 @@ class Collector {
     /// backstop as part of every collection (what makes the final live set
     /// agree with the tracing collectors and Lpt::recoverCycles).
     bool cycleRecovery = true;
-    /// Generational only: nursery bound that arms a minor collection.
-    /// 0 derives triggerLiveCells / 4.
-    std::uint64_t nurseryCells = 0;
-    /// Incremental only: touch-unit budget of one collect() slice (the
-    /// bounded safepoint pause).
-    std::uint64_t stepBudget = 2048;
   };
 
   Collector(heap::HeapBackend& heap, Options options)
@@ -127,14 +122,13 @@ class Collector {
   /// Run one collection; returns cells reclaimed. Updates the pause
   /// distribution from the heap-touch and metadata-touch deltas.
   std::uint64_t collect() {
-    const std::uint64_t heapBefore = heap_.stats().touches();
-    const std::uint64_t tableBefore = stats_.tableTouches;
+    sliceHeapStart_ = heap_.stats().touches();
+    sliceTableStart_ = stats_.tableTouches;
     const std::uint64_t startUs =
         obsSink_ != nullptr ? obs::wallMicrosNow() : 0;
     const std::uint64_t reclaimed = doCollect();
-    const std::uint64_t heapCost = heap_.stats().touches() - heapBefore;
-    const std::uint64_t pause =
-        heapCost + (stats_.tableTouches - tableBefore);
+    const std::uint64_t heapCost = heap_.stats().touches() - sliceHeapStart_;
+    const std::uint64_t pause = sliceCost();
     ++stats_.collections;
     stats_.cellsReclaimed += reclaimed;
     stats_.heapTouches += heapCost;
@@ -167,16 +161,6 @@ class Collector {
   /// complete fresh cycle in bounded slices (each slice still lands in
   /// pauses() individually).
   virtual std::uint64_t collectFull() { return collect(); }
-
-  /// One bounded collection step of at most `budgetTouches` touch units;
-  /// returns true when no cycle remains in flight. Collectors without
-  /// incremental machinery run a full collection (their pauses are
-  /// indivisible — that is exactly the comparison).
-  virtual bool collectStep(std::uint64_t budgetTouches) {
-    (void)budgetTouches;
-    collect();
-    return true;
-  }
 
   // --- introspection ---
 
@@ -214,6 +198,115 @@ class Collector {
   /// Policy body of collect(); returns cells reclaimed.
   virtual std::uint64_t doCollect() = 0;
 
+  // --- the registry mark engine ---
+  //
+  // One mark/sweep over the registry, shared by every tracing policy:
+  // mark-sweep runs it to completion, the incremental collector in
+  // budgeted slices, the generational collector for its major and (behind
+  // a young filter) minor collections, and deferred RC for its cycle
+  // backstop. Every metadata access is one explicit tableTouches and
+  // every field read goes through the backend, so each policy's counts
+  // are the engine's counts. The mark table is dense over CellRef and
+  // holds the number of the cycle that last marked a cell, so whitening
+  // everything is one increment.
+
+  /// A resumable in-place sweep of registry positions [pos, limit):
+  /// survivors are compacted down to `out`.
+  struct Sweep {
+    std::size_t pos = 0;
+    std::size_t limit = 0;
+    std::size_t out = 0;
+    bool done() const { return pos == limit; }
+  };
+
+  /// Start a mark cycle: every cell white, the gray list empty.
+  void whitenAll();
+
+  bool isMarked(CellRef cell) const {
+    return cell < marks_.size() && marks_[cell] == markCycle_;
+  }
+
+  /// One mark-table touch: mark `cell` and push it gray if it was white.
+  void shadeCell(CellRef cell) {
+    ++stats_.tableTouches;
+    coverCell(marks_, cell);
+    if (marks_[cell] == markCycle_) return;
+    marks_[cell] = markCycle_;
+    gray_.push_back(cell);
+  }
+
+  /// shadeCell every non-empty root slot, in slot order.
+  void shadeRoots() {
+    for (const CellRef root : roots_) {
+      if (root != kNull) shadeCell(root);
+    }
+  }
+
+  /// Count `cell` traced and hand each of its pointer fields to `edge`.
+  template <typename Edge>
+  void traceCell(CellRef cell, Edge& edge) {
+    ++stats_.cellsTraced;
+    for (const heap::HeapWord word : {heap_.car(cell), heap_.cdr(cell)}) {
+      if (word.isPointer()) edge(word.payload);
+    }
+  }
+
+  /// The gray-trace loop: trace gray cells, newest first, until the list
+  /// is empty or this collect() call has spent `budget` touch units (0 =
+  /// unbounded). Pointer fields go to `edge`: shadeCell, or a policy's
+  /// filter in front of it. Returns true when the gray list is empty.
+  template <typename Edge>
+  bool traceGray(std::uint64_t budget, Edge edge) {
+    while (!gray_.empty() && (budget == 0 || sliceCost() < budget)) {
+      const CellRef cell = gray_.back();
+      gray_.pop_back();
+      traceCell(cell, edge);
+    }
+    return gray_.empty();
+  }
+  bool traceGray(std::uint64_t budget) {
+    return traceGray(budget, [this](CellRef cell) { shadeCell(cell); });
+  }
+
+  /// Stop-the-world mark: everything reachable from the root slots.
+  void markFromRoots() {
+    whitenAll();
+    shadeRoots();
+    traceGray(0);
+  }
+
+  /// Advance `sweep` (one table touch per position) until it is done or
+  /// this collect() call has spent `budget` touch units (0 = unbounded):
+  /// unmarked cells are freed, marked ones keep their registry order. On
+  /// completion the swept gap is spliced out, so cells registered after
+  /// the sweep began follow the survivors. Returns cells freed.
+  std::uint64_t sweepRegistry(Sweep& sweep, std::uint64_t budget);
+
+  /// Stop-the-world sweep of cells_[first, end).
+  std::uint64_t sweepFrom(std::size_t first) {
+    Sweep sweep{first, cells_.size(), first};
+    return sweepRegistry(sweep, 0);
+  }
+
+  /// Grow a CellRef-indexed side table so it covers `cell`, up to the
+  /// heap's cell store. A ref beyond the store is no cell at all: that
+  /// breaks the registry contract and throws support::Error.
+  template <typename T>
+  void coverCell(std::vector<T>& table, CellRef cell, T fill = T{}) const {
+    if (cell < table.size()) return;
+    const std::uint64_t cellStore = heap_.cellsAllocated();
+    if (cell >= cellStore) {
+      throw support::Error("gc: reference past the heap's cell store");
+    }
+    table.resize(cellStore, fill);
+  }
+
+  /// Touch units (heap plus table) spent so far in this collect() call.
+  std::uint64_t sliceCost() const {
+    return (heap_.stats().touches() - sliceHeapStart_) +
+           (stats_.tableTouches - sliceTableStart_);
+  }
+
   heap::HeapBackend& heap_;
   Options options_;
   std::vector<CellRef> cells_;  ///< registry, insertion-ordered
@@ -224,6 +317,13 @@ class Collector {
   bool pendingCollect_ = false;
   std::uint64_t allocsSinceCollect_ = 0;
   support::Histogram pauseSlices_;
+
+ private:
+  std::vector<std::uint32_t> marks_;  ///< per cell: cycle that marked it
+  std::uint32_t markCycle_ = 0;
+  std::vector<CellRef> gray_;  ///< marked, fields not yet traced
+  std::uint64_t sliceHeapStart_ = 0;   ///< heap touches at collect() entry
+  std::uint64_t sliceTableStart_ = 0;  ///< table touches at collect() entry
 };
 
 std::unique_ptr<Collector> makeMarkSweepCollector(

@@ -10,13 +10,11 @@
 // the LPT's bounded free-queue flow control (§4.3.3.1).
 //
 // Pure counting never reclaims cycles; the optional backstop
-// (Options::cycleRecovery, on by default) runs a mark from the roots and
-// frees unmarked cells after settling their edges into survivors — the
-// same discipline as Lpt::recoverCycles, and what makes this collector's
-// final live set agree with the tracing collectors.
-#include <unordered_map>
-#include <unordered_set>
-
+// (Options::cycleRecovery, on by default) runs the shared mark engine
+// (gc/collector.hpp) from the roots and frees unmarked cells after
+// settling their edges into survivors — the same discipline as
+// Lpt::recoverCycles, and what makes this collector's final live set
+// agree with the tracing collectors.
 #include "gc/collector.hpp"
 
 namespace small::gc {
@@ -44,7 +42,8 @@ class DeferredRcCollector final : public Collector {
   void onAllocate(CellRef cell, heap::HeapWord car,
                   heap::HeapWord cdr) override {
     ++stats_.tableTouches;
-    meta_.emplace(cell, Meta{0, true});
+    coverCell(meta_, cell);
+    meta_[cell] = Meta{.registered = true, .inZct = true};
     zct_.push_back(cell);
     noteZctGrowth();
     if (car.isPointer()) incRef(car.payload);
@@ -52,33 +51,32 @@ class DeferredRcCollector final : public Collector {
   }
 
   std::uint64_t doCollect() override {
-    std::unordered_set<CellRef> rooted;
-    for (const CellRef root : roots_) {
-      if (root == kNull) continue;
-      ++stats_.tableTouches;
-      rooted.insert(root);
-    }
+    // Shade the roots: until the backstop traces, the marked cells are
+    // exactly the rooted ones.
+    whitenAll();
+    shadeRoots();
 
     // Reconciliation: drain the ZCT as a queue. A suspect with a nonzero
     // count was resurrected by a later store; a rooted suspect stays (its
     // zero count is legitimate — roots are uncounted). The rest are
     // garbage: free them and perform the deferred child decrements, which
     // can push fresh suspects onto the queue.
-    std::unordered_set<CellRef> dead;
+    std::uint64_t reclaimed = 0;
     for (std::size_t next = 0; next < zct_.size(); ++next) {
       const CellRef cell = zct_[next];
       ++stats_.tableTouches;
       ++stats_.cellsTraced;
-      Meta& meta = meta_.at(cell);
+      Meta& meta = metaOf(cell);
       if (meta.rc > 0) {
         meta.inZct = false;
         continue;
       }
-      if (rooted.count(cell) != 0) continue;
+      if (isMarked(cell)) continue;  // rooted
       const heap::HeapWord carWord = heap_.car(cell);
       const heap::HeapWord cdrWord = heap_.cdr(cell);
       heap_.free(cell);
-      dead.insert(cell);
+      meta = Meta{};
+      ++reclaimed;
       for (const heap::HeapWord word : {carWord, cdrWord}) {
         if (!word.isPointer()) continue;
         ++stats_.deferredDecrements;
@@ -87,68 +85,64 @@ class DeferredRcCollector final : public Collector {
     }
 
     // Cycle-recovery backstop: counting cannot free cyclic garbage (its
-    // members keep each other's counts positive). Mark from the roots;
-    // unmarked survivors are cyclic garbage — settle their edges into
-    // marked cells, then free them.
+    // members keep each other's counts positive). Mark from the roots
+    // (the root scan is paid again; the roots are gray already); unmarked
+    // survivors are cyclic garbage — settle their edges into marked
+    // cells, then free them.
     if (options_.cycleRecovery) {
-      std::unordered_set<CellRef> marked;
-      std::vector<CellRef> work;
-      for (const CellRef root : roots_) {
-        if (root == kNull) continue;
-        ++stats_.tableTouches;
-        if (marked.insert(root).second) work.push_back(root);
-      }
-      while (!work.empty()) {
-        const CellRef cell = work.back();
-        work.pop_back();
-        ++stats_.cellsTraced;
-        for (const heap::HeapWord word : {heap_.car(cell), heap_.cdr(cell)}) {
-          if (!word.isPointer()) continue;
-          ++stats_.tableTouches;
-          if (marked.insert(word.payload).second) work.push_back(word.payload);
-        }
-      }
+      shadeRoots();
+      traceGray(0);
       for (const CellRef cell : cells_) {
         ++stats_.tableTouches;
-        if (dead.count(cell) != 0 || marked.count(cell) != 0) continue;
+        Meta& meta = meta_[cell];
+        if (!meta.registered || isMarked(cell)) continue;
         const heap::HeapWord carWord = heap_.car(cell);
         const heap::HeapWord cdrWord = heap_.cdr(cell);
         for (const heap::HeapWord word : {carWord, cdrWord}) {
-          if (!word.isPointer() || marked.count(word.payload) == 0) continue;
+          if (!word.isPointer() || !isMarked(word.payload)) continue;
           ++stats_.deferredDecrements;
           derefChild(word.payload);
         }
         heap_.free(cell);
-        dead.insert(cell);
+        meta = Meta{};
+        ++reclaimed;
       }
     }
 
     // Rebuild the registry and the ZCT in registry order, so the table's
     // contents are deterministic regardless of drain interleaving.
     std::size_t out = 0;
-    std::vector<CellRef> survivors;
+    zct_.clear();
     for (const CellRef cell : cells_) {
       ++stats_.tableTouches;
-      if (dead.count(cell) != 0) {
-        meta_.erase(cell);
-        continue;
-      }
+      Meta& meta = meta_[cell];
+      if (!meta.registered) continue;  // freed above
       cells_[out++] = cell;
-      Meta& meta = meta_.at(cell);
       meta.inZct = meta.rc == 0;
-      if (meta.inZct) survivors.push_back(cell);
+      if (meta.inZct) zct_.push_back(cell);
     }
     cells_.resize(out);
-    zct_ = std::move(survivors);
     if (zct_.size() > stats_.zctHighWater) stats_.zctHighWater = zct_.size();
-    return dead.size();
+    return reclaimed;
   }
 
  private:
   struct Meta {
     std::uint32_t rc = 0;
+    bool registered = false;  ///< allocated through cons(), not yet freed
     bool inZct = false;
   };
+
+  /// The registered cell's counts; a pointer to any other cell breaks
+  /// the registry contract.
+  Meta& metaOf(CellRef cell) {
+    if (cell >= meta_.size() || !meta_[cell].registered) {
+      throw support::Error(
+          "deferred-rc: pointer to a cell not allocated through the "
+          "collector");
+    }
+    return meta_[cell];
+  }
 
   void noteZctGrowth() {
     if (zct_.size() > stats_.zctHighWater) stats_.zctHighWater = zct_.size();
@@ -168,13 +162,13 @@ class DeferredRcCollector final : public Collector {
   void incRef(CellRef cell) {
     ++stats_.barrierOps;
     ++stats_.tableTouches;
-    ++meta_.at(cell).rc;
+    ++metaOf(cell).rc;
   }
 
   void decRef(CellRef cell) {
     ++stats_.barrierOps;
     ++stats_.tableTouches;
-    Meta& meta = meta_.at(cell);
+    Meta& meta = metaOf(cell);
     --meta.rc;
     if (meta.rc == 0 && !meta.inZct) {
       meta.inZct = true;
@@ -186,7 +180,7 @@ class DeferredRcCollector final : public Collector {
   /// Collection-side decrement (deferred work, not mutator barrier cost).
   void derefChild(CellRef cell) {
     ++stats_.tableTouches;
-    Meta& meta = meta_.at(cell);
+    Meta& meta = metaOf(cell);
     --meta.rc;
     if (meta.rc == 0 && !meta.inZct) {
       meta.inZct = true;
@@ -194,7 +188,7 @@ class DeferredRcCollector final : public Collector {
     }
   }
 
-  std::unordered_map<CellRef, Meta> meta_;
+  std::vector<Meta> meta_;    ///< dense over CellRef
   std::vector<CellRef> zct_;  ///< suspects, in discovery order
 };
 

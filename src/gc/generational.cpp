@@ -2,7 +2,9 @@
 // remembered set maintained by the setCar/setCdr write barrier, minor
 // collections that trace only the nursery (entering through young roots
 // and the young fields of remembered old cells), and periodic major
-// collections that restore the exact root-reachable live set.
+// collections that restore the exact root-reachable live set. Both kinds
+// run the shared mark engine (gc/collector.hpp); a minor collection puts
+// its young test in front of shadeCell.
 //
 // The registry is kept partitioned by insertion order: cells_[0,
 // youngStart_) are the old generation, cells_[youngStart_, end) the
@@ -20,8 +22,6 @@
 // alive are conservatively retained until the next major collection —
 // that float is the price of not tracing the old generation, and the
 // periodic major collection (or collectFull()) pays it back.
-#include <unordered_set>
-
 #include "gc/collector.hpp"
 
 namespace small::gc {
@@ -29,13 +29,7 @@ namespace {
 
 class GenerationalCollector final : public Collector {
  public:
-  GenerationalCollector(heap::HeapBackend& heap, const Options& options)
-      : Collector(heap, options),
-        nurseryLimit_(options.nurseryCells != 0
-                          ? options.nurseryCells
-                          : options_.triggerLiveCells / 4) {
-    if (nurseryLimit_ == 0) nurseryLimit_ = 1;
-  }
+  using Collector::Collector;
 
   const char* name() const override { return "generational"; }
 
@@ -48,9 +42,11 @@ class GenerationalCollector final : public Collector {
     heap_.setCdr(cell, value);
   }
 
+  /// Also arm a minor collection once the nursery holds a quarter of the
+  /// live-size trigger.
   bool shouldCollect() const override {
     if (Collector::shouldCollect()) return true;
-    return youngCount() >= nurseryLimit_;
+    return youngCount() >= options_.triggerLiveCells / 4;
   }
 
   std::uint64_t collectFull() override {
@@ -66,7 +62,8 @@ class GenerationalCollector final : public Collector {
     (void)car;
     (void)cdr;
     ++stats_.tableTouches;
-    youngSet_.insert(cell);
+    coverCell(gen_, cell);
+    gen_[cell] = kYoung;
   }
 
   std::uint64_t doCollect() override {
@@ -81,123 +78,82 @@ class GenerationalCollector final : public Collector {
   }
 
  private:
+  static constexpr std::uint8_t kYoung = 1;       ///< in the nursery
+  static constexpr std::uint8_t kRemembered = 2;  ///< in remembered_
+
   std::uint64_t youngCount() const { return cells_.size() - youngStart_; }
+
+  bool isYoung(CellRef cell) const {
+    return cell < gen_.size() && (gen_[cell] & kYoung) != 0;
+  }
 
   /// Remember `cell` if this store creates an old→young edge.
   void barrier(CellRef cell, heap::HeapWord value) {
     ++stats_.barrierOps;
     if (!value.isPointer()) return;
     ++stats_.tableTouches;
-    if (youngSet_.count(cell) != 0) return;  // young source: traced anyway
+    if (isYoung(cell)) return;  // young source: traced anyway
     ++stats_.tableTouches;
-    if (youngSet_.count(value.payload) == 0) return;  // old→old edge
+    if (!isYoung(value.payload)) return;  // old→old edge
     ++stats_.tableTouches;
-    if (rememberedSet_.insert(cell).second) remembered_.push_back(cell);
+    coverCell(gen_, cell);
+    if ((gen_[cell] & kRemembered) != 0) return;
+    gen_[cell] |= kRemembered;
+    remembered_.push_back(cell);
+  }
+
+  /// Promote the whole nursery and empty the remembered set (the
+  /// generation flags; the caller's sweep settles the registry).
+  void resetGenerations() {
+    for (std::size_t i = youngStart_; i < cells_.size(); ++i) {
+      gen_[cells_[i]] = 0;
+    }
+    for (const CellRef cell : remembered_) gen_[cell] = 0;
+    remembered_.clear();
   }
 
   std::uint64_t collectMinor() {
     // Mark: reachability restricted to the nursery. Old cells terminate
     // the trace — they are conservatively live, and any young cell they
     // reference is reachable through a remembered cell's fields.
-    std::unordered_set<CellRef> marked;
-    std::vector<CellRef> work;
-    const auto visit = [&](CellRef cell) {
+    const auto visit = [this](CellRef cell) {
       ++stats_.tableTouches;
-      if (youngSet_.count(cell) == 0) return;  // old generation: stop
-      ++stats_.tableTouches;
-      if (marked.insert(cell).second) work.push_back(cell);
+      if (isYoung(cell)) shadeCell(cell);  // old generation: stop
     };
+    whitenAll();
     for (const CellRef root : roots_) {
-      if (root == kNull) continue;
-      visit(root);
+      if (root != kNull) visit(root);
     }
-    for (const CellRef cell : remembered_) {
-      ++stats_.cellsTraced;
-      for (const heap::HeapWord word : {heap_.car(cell), heap_.cdr(cell)}) {
-        if (word.isPointer()) visit(word.payload);
-      }
-    }
-    while (!work.empty()) {
-      const CellRef cell = work.back();
-      work.pop_back();
-      ++stats_.cellsTraced;
-      for (const heap::HeapWord word : {heap_.car(cell), heap_.cdr(cell)}) {
-        if (word.isPointer()) visit(word.payload);
-      }
-    }
+    for (const CellRef cell : remembered_) traceCell(cell, visit);
+    traceGray(0, visit);
+    resetGenerations();
 
     // Sweep the nursery only, compacting survivors in place; survivors
     // are thereby promoted (youngStart_ moves past them).
-    std::uint64_t reclaimed = 0;
-    std::size_t out = youngStart_;
-    for (std::size_t i = youngStart_; i < cells_.size(); ++i) {
-      const CellRef cell = cells_[i];
-      ++stats_.tableTouches;
-      if (marked.count(cell) != 0) {
-        cells_[out++] = cell;
-      } else {
-        heap_.free(cell);
-        ++reclaimed;
-      }
-      youngSet_.erase(cell);
-    }
-    const std::uint64_t promoted = out - youngStart_;
-    cells_.resize(out);
+    const std::size_t oldCount = youngStart_;
+    const std::uint64_t reclaimed = sweepFrom(youngStart_);
     youngStart_ = cells_.size();
+    const std::uint64_t promoted = youngStart_ - oldCount;
     promotedSinceMajor_ += promoted;
     stats_.cellsPromoted += promoted;
     ++stats_.minorCollections;
-    remembered_.clear();
-    rememberedSet_.clear();
     return reclaimed;
   }
 
   std::uint64_t collectMajor() {
     // Full stop-the-world mark-sweep over the whole registry; afterwards
     // everything surviving is old and the remembered set is empty.
-    std::unordered_set<CellRef> marked;
-    std::vector<CellRef> work;
-    for (const CellRef root : roots_) {
-      if (root == kNull) continue;
-      ++stats_.tableTouches;
-      if (marked.insert(root).second) work.push_back(root);
-    }
-    while (!work.empty()) {
-      const CellRef cell = work.back();
-      work.pop_back();
-      ++stats_.cellsTraced;
-      for (const heap::HeapWord word : {heap_.car(cell), heap_.cdr(cell)}) {
-        if (!word.isPointer()) continue;
-        ++stats_.tableTouches;
-        if (marked.insert(word.payload).second) work.push_back(word.payload);
-      }
-    }
-
-    std::uint64_t reclaimed = 0;
-    std::size_t out = 0;
-    for (const CellRef cell : cells_) {
-      ++stats_.tableTouches;
-      if (marked.count(cell) != 0) {
-        cells_[out++] = cell;
-      } else {
-        heap_.free(cell);
-        ++reclaimed;
-      }
-    }
-    cells_.resize(out);
+    markFromRoots();
+    resetGenerations();
+    const std::uint64_t reclaimed = sweepFrom(0);
     youngStart_ = cells_.size();
-    youngSet_.clear();
-    remembered_.clear();
-    rememberedSet_.clear();
     promotedSinceMajor_ = 0;
     return reclaimed;
   }
 
-  std::uint64_t nurseryLimit_;
   std::size_t youngStart_ = 0;  ///< cells_[youngStart_..) is the nursery
-  std::unordered_set<CellRef> youngSet_;
+  std::vector<std::uint8_t> gen_;    ///< per cell: kYoung | kRemembered
   std::vector<CellRef> remembered_;  ///< old cells holding young pointers
-  std::unordered_set<CellRef> rememberedSet_;
   std::uint64_t promotedSinceMajor_ = 0;
   bool forceMajor_ = false;
 };

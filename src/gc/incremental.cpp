@@ -1,20 +1,21 @@
 // Incremental mark-sweep: tri-color marking spread across bounded
 // safepoint slices, with a snapshot-at-the-beginning (SATB) write
-// barrier. Each collect() call runs ONE slice of at most stepBudget (or
-// the collectStep budget) touch units, so every entry in the pause
-// distribution is a bounded slice rather than a whole-cycle pause —
-// exactly the comparison against the stop-the-world collectors.
+// barrier. Each collect() call runs ONE slice of the shared mark engine
+// (gc/collector.hpp), bounded by kStepBudget touch units, so every entry
+// in the pause distribution is a bounded slice rather than a whole-cycle
+// pause — exactly the comparison against the stop-the-world collectors.
 //
 // Tri-color invariant (SATB form): every cell reachable at the moment a
 // cycle begins, plus every cell allocated while the cycle is in flight,
-// survives that cycle. White = not in marked_, gray = in marked_ and on
-// the gray_ worklist, black = in marked_ and traced. Two mutator hooks
+// survives that cycle. White = unmarked, gray = marked and on the
+// engine's gray list, black = marked and traced. Two mutator hooks
 // maintain it between slices:
 //   * setCar/setCdr shade the OVERWRITTEN pointer during marking — the
 //     snapshot-reachable target stays reachable through the mark table
 //     even if this store severed its last heap path;
-//   * onAllocate marks new cells black-on-arrival (during the sweep too,
-//     so a reused CellRef ahead of the sweep cursor is not freed).
+//   * onAllocate shades new cells on arrival, during the sweep too, so a
+//     reused CellRef ahead of the sweep cursor is not freed (a gray entry
+//     made in the sweep is never traced; the next cycle drops it).
 // Dead-at-snapshot-start cells a store resurrects into a black cell are
 // impossible: the mutator can only store pointers it read from live
 // structure, and SATB keeps that structure marked. The cost is floating
@@ -23,12 +24,13 @@
 // more complete cycle while the mutator is quiescent: that fresh cycle's
 // live set is exactly the root-reachable set, preserving the bit-equal
 // contract the differential tests demand.
-#include <unordered_set>
-
 #include "gc/collector.hpp"
 
 namespace small::gc {
 namespace {
+
+/// Touch-unit budget of one collect() slice (the bounded safepoint pause).
+constexpr std::uint64_t kStepBudget = 2048;
 
 class IncrementalCollector final : public Collector {
  public:
@@ -60,98 +62,36 @@ class IncrementalCollector final : public Collector {
     return reclaimed;
   }
 
-  bool collectStep(std::uint64_t budgetTouches) override {
-    sliceBudget_ = budgetTouches;
-    collect();
-    sliceBudget_ = 0;
-    return phase_ == Phase::kIdle;
-  }
-
  protected:
   void onAllocate(CellRef cell, heap::HeapWord car,
                   heap::HeapWord cdr) override {
     (void)car;
     (void)cdr;
-    if (phase_ == Phase::kIdle) return;
-    // Allocate black: in-flight allocations survive the cycle. Marking
-    // alone suffices in the sweep phase (the cell sits beyond the sweep
-    // snapshot), but during marking the fresh cell also enters the gray
-    // worklist so pointers stored at birth get traced.
-    ++stats_.tableTouches;
-    if (marked_.insert(cell).second && phase_ == Phase::kMark) {
-      gray_.push_back(cell);
-    }
+    // Allocate black: in-flight allocations survive the cycle. During
+    // marking the gray entry also gets pointers stored at birth traced.
+    if (phase_ != Phase::kIdle) shadeCell(cell);
   }
 
   std::uint64_t doCollect() override {
-    const std::uint64_t budget =
-        sliceBudget_ != 0 ? sliceBudget_ : options_.stepBudget;
-    const std::uint64_t heapBefore = heap_.stats().touches();
-    const std::uint64_t tableBefore = stats_.tableTouches;
-    const auto overBudget = [&] {
-      return budget != 0 &&
-             (heap_.stats().touches() - heapBefore) +
-                     (stats_.tableTouches - tableBefore) >=
-                 budget;
-    };
-
     if (phase_ == Phase::kIdle) {
       // Cycle start: snapshot the roots atomically (root scanning is not
       // incremental — the root file is a few registers, and an atomic
       // scan is what makes SATB's snapshot well-defined).
-      for (const CellRef root : roots_) {
-        if (root == kNull) continue;
-        ++stats_.tableTouches;
-        if (marked_.insert(root).second) gray_.push_back(root);
-      }
+      whitenAll();
+      shadeRoots();
       phase_ = Phase::kMark;
     }
 
     if (phase_ == Phase::kMark) {
-      while (!gray_.empty() && !overBudget()) {
-        const CellRef cell = gray_.back();
-        gray_.pop_back();
-        ++stats_.cellsTraced;
-        for (const heap::HeapWord word :
-             {heap_.car(cell), heap_.cdr(cell)}) {
-          if (!word.isPointer()) continue;
-          ++stats_.tableTouches;
-          if (marked_.insert(word.payload).second) {
-            gray_.push_back(word.payload);
-          }
-        }
-      }
-      if (!gray_.empty()) return 0;  // slice exhausted mid-mark
+      if (!traceGray(kStepBudget)) return 0;  // slice exhausted mid-mark
       // Marking complete: snapshot the registry extent to sweep. Cells
       // allocated after this point are beyond the snapshot and untouched.
       phase_ = Phase::kSweep;
-      sweepLimit_ = cells_.size();
-      sweepPos_ = 0;
-      sweepOut_ = 0;
+      sweep_ = Sweep{0, cells_.size(), 0};
     }
 
-    // Sweep: compact survivors of cells_[0, sweepLimit_) in place, a
-    // bounded run of positions per slice.
-    std::uint64_t reclaimed = 0;
-    while (sweepPos_ < sweepLimit_ && !overBudget()) {
-      const CellRef cell = cells_[sweepPos_++];
-      ++stats_.tableTouches;
-      if (marked_.count(cell) != 0) {
-        cells_[sweepOut_++] = cell;
-      } else {
-        heap_.free(cell);
-        ++reclaimed;
-      }
-    }
-    if (sweepPos_ < sweepLimit_) return reclaimed;  // slice exhausted
-
-    // Cycle complete: splice the swept gap out of the registry (cells
-    // allocated mid-sweep follow the compacted survivors, keeping
-    // insertion order) and whiten everything for the next cycle.
-    cells_.erase(cells_.begin() + static_cast<std::ptrdiff_t>(sweepOut_),
-                 cells_.begin() + static_cast<std::ptrdiff_t>(sweepLimit_));
-    marked_.clear();
-    gray_.clear();
+    const std::uint64_t reclaimed = sweepRegistry(sweep_, kStepBudget);
+    if (!sweep_.done()) return reclaimed;  // slice exhausted mid-sweep
     phase_ = Phase::kIdle;
     ++stats_.fullCycles;
     return reclaimed;
@@ -164,17 +104,11 @@ class IncrementalCollector final : public Collector {
   /// snapshot stays reachable through the mark table.
   void shade(heap::HeapWord old) {
     if (phase_ != Phase::kMark || !old.isPointer()) return;
-    ++stats_.tableTouches;
-    if (marked_.insert(old.payload).second) gray_.push_back(old.payload);
+    shadeCell(old.payload);
   }
 
   Phase phase_ = Phase::kIdle;
-  std::unordered_set<CellRef> marked_;
-  std::vector<CellRef> gray_;
-  std::size_t sweepLimit_ = 0;  ///< registry extent snapshot at sweep entry
-  std::size_t sweepPos_ = 0;
-  std::size_t sweepOut_ = 0;
-  std::uint64_t sliceBudget_ = 0;  ///< collectStep override, 0 = stepBudget
+  Sweep sweep_;  ///< the cycle's registry sweep, resumed slice by slice
 };
 
 }  // namespace

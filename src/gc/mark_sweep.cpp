@@ -1,11 +1,10 @@
-// Stop-the-world mark-sweep over the collector's cell registry. Marking
-// traces from the root slots through the backend's virtual car/cdr (so
-// each representation pays its own touch profile); the sweep walks the
-// registry in insertion order and frees unmarked cells, which keeps the
-// surviving registry order — and therefore every downstream report —
-// deterministic.
-#include <unordered_set>
-
+// Stop-the-world mark-sweep over the collector's cell registry: the
+// shared mark engine (gc/collector.hpp) run to completion in one pause.
+// Marking traces from the root slots through the backend's virtual
+// car/cdr (so each representation pays its own touch profile); the sweep
+// walks the registry in insertion order and frees unmarked cells, which
+// keeps the surviving registry order — and therefore every downstream
+// report — deterministic.
 #include "gc/collector.hpp"
 
 namespace small::gc {
@@ -19,41 +18,8 @@ class MarkSweepCollector final : public Collector {
 
  protected:
   std::uint64_t doCollect() override {
-    // Mark: worklist reachability from the root slots. Each mark-table
-    // insert and lookup is one metadata touch.
-    std::unordered_set<CellRef> marked;
-    std::vector<CellRef> work;
-    for (const CellRef root : roots_) {
-      if (root == kNull) continue;
-      ++stats_.tableTouches;
-      if (marked.insert(root).second) work.push_back(root);
-    }
-    while (!work.empty()) {
-      const CellRef cell = work.back();
-      work.pop_back();
-      ++stats_.cellsTraced;
-      for (const heap::HeapWord word : {heap_.car(cell), heap_.cdr(cell)}) {
-        if (!word.isPointer()) continue;
-        ++stats_.tableTouches;
-        if (marked.insert(word.payload).second) work.push_back(word.payload);
-      }
-    }
-
-    // Sweep: free unmarked registry cells, compacting the registry in
-    // place so survivors keep their insertion order.
-    std::uint64_t reclaimed = 0;
-    std::size_t out = 0;
-    for (const CellRef cell : cells_) {
-      ++stats_.tableTouches;
-      if (marked.count(cell) != 0) {
-        cells_[out++] = cell;
-      } else {
-        heap_.free(cell);
-        ++reclaimed;
-      }
-    }
-    cells_.resize(out);
-    return reclaimed;
+    markFromRoots();
+    return sweepFrom(0);
   }
 };
 

@@ -11,8 +11,6 @@
 //
 // Moving invalidates old CellRefs: the mutator must re-read its roots
 // from the root slots after every collection.
-#include <unordered_map>
-
 #include "gc/collector.hpp"
 #include "heap/address_model.hpp"
 
@@ -27,19 +25,19 @@ class SemispaceCollector final : public Collector {
 
  protected:
   std::uint64_t doCollect() override {
-    std::unordered_map<CellRef, CellRef> forward;
+    forward_.assign(heap_.cellsAllocated(), kNull);
     std::vector<CellRef> copies;  // to-space registry; doubles as scan queue
 
     // Evacuate: copy on first contact, answer from the forwarding table
     // after (one metadata touch per contact, one more per new entry).
     const auto evacuate = [&](CellRef old) {
       ++stats_.tableTouches;
-      const auto it = forward.find(old);
-      if (it != forward.end()) return it->second;
+      coverCell(forward_, old, kNull);
+      if (forward_[old] != kNull) return forward_[old];
       const CellRef clone = heap_.allocate(heap_.car(old), heap_.cdr(old));
       toSpace_.allocateObject(1);
       ++stats_.tableTouches;
-      forward.emplace(old, clone);
+      forward_[old] = clone;
       copies.push_back(clone);
       ++stats_.cellsTraced;
       return clone;
@@ -74,6 +72,9 @@ class SemispaceCollector final : public Collector {
  private:
   /// Simulated to-space address assignment (monotonic across flips).
   heap::AddressModel toSpace_;
+  /// Forwarding table, dense over from-space CellRefs (kNull = not yet
+  /// copied); rebuilt at every collection.
+  std::vector<CellRef> forward_;
 };
 
 }  // namespace

@@ -1,6 +1,6 @@
 #include "small/gc_baseline.hpp"
 
-#include <unordered_set>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -12,19 +12,25 @@ namespace {
 
 std::uint64_t reachableEntries(const Lpt& lpt, EntryId root) {
   if (root == kNoEntry) return 0;
-  std::unordered_set<EntryId> seen{root};
-  std::vector<EntryId> work{root};
+  std::vector<bool> seen(lpt.size());
+  std::vector<EntryId> work;
+  std::uint64_t count = 0;
+  const auto visit = [&](EntryId id) {
+    if (id >= seen.size()) throw SimulationError("Lpt: bad entry id");
+    if (seen[id]) return;
+    seen[id] = true;
+    ++count;
+    work.push_back(id);
+  };
+  visit(root);
   while (!work.empty()) {
-    const EntryId id = work.back();
+    const LptEntry& entry = lpt.entry(work.back());
     work.pop_back();
-    const LptEntry& entry = lpt.entry(id);
     for (const EntryId child : {entry.car, entry.cdr}) {
-      if (child != kNoEntry && seen.insert(child).second) {
-        work.push_back(child);
-      }
+      if (child != kNoEntry) visit(child);
     }
   }
-  return seen.size();
+  return count;
 }
 
 }  // namespace

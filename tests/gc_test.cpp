@@ -258,6 +258,20 @@ TEST(DeferredRc, BoundedZctForcesCollection) {
   EXPECT_EQ(collector->liveCells(), 0u);
 }
 
+TEST(DeferredRc, StoringAForeignCellThrows) {
+  // The registry contract: every stored pointer names a cell allocated
+  // through cons(). Deferred RC's count table is the check — a store of
+  // any other cell, whether allocated behind the collector's back or past
+  // the heap's cell store, must throw rather than index past the table.
+  const auto backend =
+      heap::makeHeapBackend(heap::HeapBackendKind::kTwoPointer);
+  const auto collector = makeDeferredRcCollector(*backend, {});
+  const Collector::CellRef cell = collector->cons(sym(1), HeapWord::nil());
+  const Collector::CellRef foreign = backend->allocate(sym(2), HeapWord::nil());
+  EXPECT_ANY_THROW(collector->setCar(cell, HeapWord::pointer(foreign)));
+  EXPECT_ANY_THROW(collector->setCdr(cell, HeapWord::pointer(1u << 20)));
+}
+
 TEST(DeferredRc, CountsBarrierAndDeferredWork) {
   const auto backend =
       heap::makeHeapBackend(heap::HeapBackendKind::kTwoPointer);
