@@ -21,8 +21,13 @@
 //   void reread(Value& value, std::uint32_t n, std::uint32_t p);
 //       // ReadProb fired: the variable bound to `value` was re-read
 //
-// The calls are direct, not virtual: pickListItem's scan is the hottest
-// loop of the Chapter 5 runs.
+// The calls are direct, not virtual: they sit on the per-primitive path.
+//
+// The model keeps a list-slot bitmap beside the stack, one bit per slot,
+// set iff isList(slot value). Every slot write happens here (pushes, the
+// BindProb bind, ReadProb re-reads, pops), and each one updates its bit,
+// so a pick counts the list slots of its range with popcounts and finds
+// the chosen one by a select over the same words, with no per-slot work.
 //
 // The model draws from the caller's support::Rng. The Simulator's
 // ListProcessor draws from the same stream, and the interleaving of EP
@@ -38,6 +43,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -93,10 +99,10 @@ class EpModel {
         item.value = stack_[*older].value;
         ops_.retain(item.value);
       }
-      stack_.push_back(item);
+      push(item);
     }
     const auto locals = static_cast<std::uint32_t>(rng_.below(3));
-    for (std::uint32_t i = 0; i < locals; ++i) stack_.push_back(Item{});
+    for (std::uint32_t i = 0; i < locals; ++i) push(Item{});
     frames_.push_back(Frame{base, argCount});
   }
 
@@ -122,11 +128,12 @@ class EpModel {
     const std::uint32_t n = event.args.empty() ? 1 : event.args[0].n;
     const std::uint32_t p = event.args.empty() ? 0 : event.args[0].p;
     if (!index) {
-      stack_.push_back(Item{ops_.readIn(n, p)});
+      push(Item{ops_.readIn(n, p)});
       index = stack_.size() - 1;
     }
     if (!operand.consumedTemp && rng_.chance(probabilities_.readProb)) {
       ops_.reread(stack_[*index].value, n, p);
+      setListBit(*index);
     }
     operand.index = *index;
     return operand;
@@ -179,17 +186,24 @@ class EpModel {
   }
 
   /// A uniformly random stack index in [lo, hi) holding a list value;
-  /// nullopt if none. Reservoir sampling: one pass, no candidate vector.
+  /// nullopt if none. The draws are a reservoir sample's: below(k) for
+  /// k = 1..n over the range's n list slots, keeping the last k that drew
+  /// 0; the bitmap supplies n and the chosen slot, so the stack itself is
+  /// never read.
   std::optional<std::size_t> pickListItem(std::size_t lo, std::size_t hi) {
     hi = std::min(hi, stack_.size());  // the frame-ownership quirk
-    std::optional<std::size_t> chosen;
-    std::uint64_t seen = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (!ops_.isList(stack_[i].value)) continue;
-      ++seen;
-      if (rng_.below(seen) == 0) chosen = i;
+    if (hi <= lo) return std::nullopt;
+    const std::uint64_t n = countListSlots(lo, hi);
+    // The draws go through a local copy of the generator so its state can
+    // stay in registers for the loop; the stream is the same.
+    support::Rng rng = rng_;
+    std::uint64_t last = 0;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      if (rng.below(k) == 0) last = k;
     }
-    return chosen;
+    rng_ = rng;
+    if (last == 0) return std::nullopt;
+    return nthListSlot(lo, last - 1);
   }
 
   /// "This return value was then either bound to a randomly selected
@@ -203,17 +217,25 @@ class EpModel {
         frames_.size() == 1 && stack_.size() >= topLevelStackBound_;
     if (!stack_.empty() &&
         (topLevelPressure || rng_.chance(probabilities_.bindProb))) {
-      Item& slot = stack_[rng_.below(stack_.size())];
+      const std::size_t index = rng_.below(stack_.size());
+      Item& slot = stack_[index];
       ops_.release(slot.value);
       slot.value = value;  // a binding slot stays a binding
+      setListBit(index);
       return;
     }
-    stack_.push_back(Item{value, /*isTemp=*/true});
+    push(Item{value, /*isTemp=*/true});
   }
 
   /// Release and pop the top item (a consumed chained temporary).
   void popTop() {
     ops_.release(stack_.back().value);
+    const std::size_t top = stack_.size() - 1;
+    if (top % 64 == 0) {
+      listBits_.pop_back();  // the popped slot was its word's only one
+    } else {
+      listBits_[top / 64] &= ~(std::uint64_t{1} << (top % 64));
+    }
     stack_.pop_back();
   }
 
@@ -226,12 +248,90 @@ class EpModel {
   const std::vector<Item>& stack() const { return stack_; }
   const std::vector<Frame>& frames() const { return frames_; }
 
+  /// The list-slot bitmap invariant: one word per started 64-slot block
+  /// of the stack, each bit below stack().size() equal to isList of its
+  /// slot, and no bit set at or above it. Checked after every event by
+  /// the Simulator's SMALL_SIM_VERIFY build.
+  bool listBitsConsistent() const {
+    if (listBits_.size() != (stack_.size() + 63) / 64) return false;
+    for (std::size_t w = 0; w < listBits_.size(); ++w) {
+      std::uint64_t expected = 0;
+      const std::size_t end = std::min(stack_.size(), (w + 1) * 64);
+      for (std::size_t i = w * 64; i < end; ++i) {
+        if (ops_.isList(stack_[i].value)) {
+          expected |= std::uint64_t{1} << (i % 64);
+        }
+      }
+      if (listBits_[w] != expected) return false;
+    }
+    return true;
+  }
+
  private:
+  void push(const Item& item) {
+    const std::size_t index = stack_.size();
+    stack_.push_back(item);
+    if (index % 64 == 0) listBits_.push_back(0);
+    setListBit(index);
+  }
+
+  /// Bring slot `index`'s bit in line with its value.
+  void setListBit(std::size_t index) {
+    const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+    std::uint64_t& word = listBits_[index / 64];
+    word = ops_.isList(stack_[index].value) ? word | bit : word & ~bit;
+  }
+
+  /// The bits of word `w` that lie in [lo, hi).
+  static std::uint64_t rangeMask(std::size_t w, std::size_t lo,
+                                 std::size_t hi) {
+    std::uint64_t mask = ~std::uint64_t{0};
+    if (w == lo / 64) mask &= ~std::uint64_t{0} << (lo % 64);
+    if (w == (hi - 1) / 64) mask &= ~std::uint64_t{0} >> (63 - (hi - 1) % 64);
+    return mask;
+  }
+
+  /// The number of list slots in [lo, hi), lo < hi <= stack_.size().
+  std::uint64_t countListSlots(std::size_t lo, std::size_t hi) const {
+    std::uint64_t n = 0;
+    for (std::size_t w = lo / 64; w <= (hi - 1) / 64; ++w) {
+      n += static_cast<std::uint64_t>(
+          std::popcount(listBits_[w] & rangeMask(w, lo, hi)));
+    }
+    return n;
+  }
+
+  /// The index of the list slot with `rank` (0-based) list slots before
+  /// it at or above `lo`; the caller guarantees it exists.
+  std::size_t nthListSlot(std::size_t lo, std::uint64_t rank) const {
+    std::size_t w = lo / 64;
+    std::uint64_t word = listBits_[w] & (~std::uint64_t{0} << (lo % 64));
+    for (;;) {
+      const auto count = static_cast<std::uint64_t>(std::popcount(word));
+      if (rank < count) break;
+      rank -= count;
+      word = listBits_[++w];
+    }
+    // Select the rank-th set bit of `word` by halving.
+    std::size_t bit = 0;
+    for (unsigned width = 32; width > 0; width /= 2) {
+      const auto low = static_cast<std::uint64_t>(
+          std::popcount(word & ((std::uint64_t{1} << width) - 1)));
+      if (rank >= low) {
+        rank -= low;
+        word >>= width;
+        bit += width;
+      }
+    }
+    return w * 64 + bit;
+  }
+
   Ops ops_;
   support::Rng& rng_;
   EpProbabilities probabilities_;
   std::size_t topLevelStackBound_;
   std::vector<Item> stack_;
+  std::vector<std::uint64_t> listBits_;  ///< bit i: stack_[i] holds a list
   std::vector<Frame> frames_;
 };
 

@@ -11,25 +11,26 @@ using support::SimulationError;
 Lpt::Lpt(std::uint32_t size, ReclaimPolicy reclaim)
     : size_(size),
       reclaim_(reclaim),
-      entries_(size),
       flags_((static_cast<std::uint64_t>(size) + 7) & ~std::uint64_t{7}, 0),
       freeTop_(kNoEntry) {
   if (size == 0) throw SimulationError("Lpt: zero-sized table");
-  // Build the initial free stack, low ids on top.
-  for (std::uint32_t id = size; id-- > 0;) {
-    entries_[id].freeNext = freeTop_;
-    freeTop_ = id;
-  }
+  // Reserved, not filled: allocate() constructs entries at the high-water
+  // mark, and the reservation keeps references stable as it grows.
+  entries_.reserve(size);
 }
 
 LptEntry& Lpt::entry(EntryId id) {
   if (id >= size_) throw SimulationError("Lpt: bad entry id");
+  // A write access above the storage materializes fresh (free) entries
+  // but leaves the high-water mark, and so the allocation order, alone.
+  if (id >= entries_.size()) entries_.resize(id + 1);
   return entries_[id];
 }
 
 const LptEntry& Lpt::entry(EntryId id) const {
   if (id >= size_) throw SimulationError("Lpt: bad entry id");
-  return entries_[id];
+  static const LptEntry kNeverAllocated{};
+  return id < entries_.size() ? entries_[id] : kNeverAllocated;
 }
 
 EntryId Lpt::nextInUse(EntryId from) const {
@@ -78,10 +79,19 @@ void Lpt::unlinkInUse(EntryId id) {
 }
 
 EntryId Lpt::allocate() {
-  if (freeTop_ == kNoEntry) return kNoEntry;
-  const EntryId id = freeTop_;
+  // The free stack first, then the next never-allocated id: the order an
+  // eagerly threaded stack with low ids on top would give.
+  EntryId id;
+  if (freeTop_ != kNoEntry) {
+    id = freeTop_;
+    freeTop_ = entries_[id].freeNext;
+  } else if (highWater_ < size_) {
+    id = highWater_++;
+    if (id == entries_.size()) entries_.emplace_back();
+  } else {
+    return kNoEntry;
+  }
   LptEntry& slot = entries_[id];
-  freeTop_ = slot.freeNext;
 
   // Lazy child decrement: the previous occupant's edges are released only
   // now that the entry is being reused (§4.3.2.1).
@@ -177,7 +187,7 @@ std::uint64_t Lpt::settleLazyFrees() {
   bool progress = true;
   while (progress) {
     progress = false;
-    for (EntryId id = 0; id < size_; ++id) {
+    for (EntryId id = 0; id < highWater_; ++id) {
       if (flags_[id] & kFlagInUse) continue;
       LptEntry& slot = entries_[id];
       if (slot.car == kNoEntry && slot.cdr == kNoEntry) continue;

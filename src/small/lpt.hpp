@@ -6,8 +6,13 @@
 // field maps to heap memory; the reference count manages both the entry's
 // own lifetime and, transitively, the heap object's.
 //
-// Free entries form a LIFO stack threaded through the table (Fig 4.3), so
-// both freeing and allocation are O(1). When an entry's count reaches zero
+// Free entries form a LIFO stack threaded through the entries' `freeNext`
+// field (Fig 4.3), so both freeing and allocation are O(1). The table is
+// filled lazily: ids at or above a high-water mark have never been
+// allocated, are free by definition and sit below every freed id, so
+// allocate() pops the stack first and only then takes the mark — the order
+// an eagerly threaded stack with low ids on top gives, without touching
+// the whole table up front. When an entry's count reaches zero
 // it is pushed intact — its children are decremented only when the entry is
 // reallocated (§4.3.2.1's lazy policy), bounding the work per free at the
 // price of transiently occupied child entries. The recursive policy
@@ -81,13 +86,21 @@ class Lpt {
 
   std::uint32_t size() const { return size_; }
   std::uint32_t inUseCount() const { return inUseCount_; }
-  bool hasFreeEntry() const { return freeTop_ != kNoEntry; }
+  bool hasFreeEntry() const {
+    return freeTop_ != kNoEntry || highWater_ < size_;
+  }
+  /// Ids at or above this have never been allocated: free, and holding
+  /// no edges.
+  std::uint32_t highWater() const { return highWater_; }
 
   /// Pop a free entry, lazily decrementing the previous occupant's
   /// children (which may cascade further frees under either policy).
-  /// Returns kNoEntry if the free stack is empty (overflow).
+  /// Returns kNoEntry if every entry is in use or awaiting reuse
+  /// (overflow).
   EntryId allocate();
 
+  /// Any id below size(); one never allocated reads as a fresh, free
+  /// entry, and reading it does not change what allocate() hands out.
   LptEntry& entry(EntryId id);
   const LptEntry& entry(EntryId id) const;
 
@@ -170,7 +183,9 @@ class Lpt {
 
   std::uint32_t size_;
   ReclaimPolicy reclaim_;
+  /// Reserved to size_; holds at least the ids below highWater_.
   std::vector<LptEntry> entries_;
+  std::uint32_t highWater_ = 0;
   /// One flag byte per entry, zero-padded to a multiple of 8 so the
   /// word-at-a-time scan never reads past the table.
   std::vector<std::uint8_t> flags_;

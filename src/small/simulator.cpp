@@ -106,6 +106,12 @@ SimResult Simulator::run() {
 
 #ifdef SMALL_SIM_VERIFY
 void Simulator::verifyStackRefs(const char* where) {
+  if (!ep_.listBitsConsistent()) {
+    std::fprintf(stderr, "VERIFY(%s): EP list-slot bitmap disagrees with the "
+                 "stack at prim#%llu\n",
+                 where, (unsigned long long)primitives_);
+    std::abort();
+  }
   std::unordered_map<EntryId, std::uint32_t> held;
   for (const auto& item : ep_.stack()) {
     if (item.value.kind == EpValue::Kind::kEntry) ++held[item.value.id];
@@ -144,17 +150,20 @@ void Simulator::verifyStackRefs(const char* where) {
 void Simulator::verifyRefCounts(const PreprocessedEvent& event) {
   // Recompute each entry's expected refcount: field references from every
   // entry (in-use or lazily freed) plus EP references.
-  std::vector<std::uint32_t> expected(config_.tableSize, 0);
-  for (EntryId id = 0; id < config_.tableSize; ++id) {
-    const LptEntry& e = lp_.lpt().entry(id);
+  // Ids at or above the high-water mark were never allocated, so they
+  // neither hold nor receive references.
+  const Lpt& lpt = lp_.lpt();
+  std::vector<std::uint32_t> expected(lpt.highWater(), 0);
+  for (EntryId id = 0; id < lpt.highWater(); ++id) {
+    const LptEntry& e = lpt.entry(id);
     if (e.car != kNoEntry) ++expected[e.car];
     if (e.cdr != kNoEntry) ++expected[e.cdr];
   }
-  for (EntryId id = 0; id < config_.tableSize; ++id) {
+  for (EntryId id = 0; id < lpt.highWater(); ++id) {
     // In split mode EP references live in the EP table, not in the LPT
     // count.
     if (!config_.splitRefCounts) expected[id] += lp_.externalRefs(id);
-    const LptEntry& e = lp_.lpt().entry(id);
+    const LptEntry& e = lpt.entry(id);
     if (e.inUse && e.refCount != expected[id]) {
       std::fprintf(stderr,
                    "VERIFY: entry %u rc=%u expected=%u after prim %d "

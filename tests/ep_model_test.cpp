@@ -2,6 +2,7 @@
 // through a counting adapter so every EP reference is visible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 
@@ -157,6 +158,114 @@ TEST(EpModel, ExitReleasesEveryBindingOfTheFrame) {
   model.unwind();
   EXPECT_TRUE(model.stack().empty());
   EXPECT_EQ(ledger.refs[list], 0);
+}
+
+/// Values are ints as in CountingOps, without the ledger. Every third
+/// read-in is an atom, and a re-read flips its slot between atom and
+/// list, so both the ReadProb re-read and the BindProb bind rewrite list
+/// slots as atoms and atom slots as lists.
+struct FlippingOps {
+  using Value = int;
+  int* next;
+
+  static bool isList(int value) { return value != 0; }
+  void retain(int) {}
+  void release(int) {}
+  int readIn(std::uint32_t, std::uint32_t) {
+    ++*next;
+    return *next % 3 == 0 ? 0 : *next;
+  }
+  void reread(int& value, std::uint32_t n, std::uint32_t p) {
+    value = value == 0 ? readIn(n, p) | 1 : 0;
+  }
+};
+
+using FlippingModel = EpModel<FlippingOps>;
+
+/// The reservoir scan pickListItem replaced, kept as the oracle: one pass
+/// over [lo, hi) clamped to the stack, below(seen) at each list slot.
+std::optional<std::size_t> reservoirPick(const FlippingModel& model,
+                                         std::size_t lo, std::size_t hi,
+                                         support::Rng& rng) {
+  hi = std::min(hi, model.stack().size());
+  std::optional<std::size_t> chosen;
+  std::uint64_t seen = 0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (!FlippingOps::isList(model.value(i))) continue;
+    ++seen;
+    if (rng.below(seen) == 0) chosen = i;
+  }
+  return chosen;
+}
+
+/// One pick against the oracle: the same index, and the same draws (the
+/// generator's next raw output agrees).
+void expectOraclePick(FlippingModel& model, support::Rng& rng,
+                      std::size_t lo, std::size_t hi) {
+  support::Rng oracleRng = rng;
+  const std::optional<std::size_t> expected =
+      reservoirPick(model, lo, hi, oracleRng);
+  EXPECT_EQ(model.pickListItem(lo, hi), expected)
+      << "range [" << lo << ", " << hi << ") of " << model.stack().size();
+  EXPECT_EQ(support::Rng(rng)(), oracleRng())
+      << "range [" << lo << ", " << hi << ") of " << model.stack().size();
+}
+
+TEST(EpModel, IndexedPickMatchesTheReservoirScan) {
+  EpProbabilities probabilities;
+  probabilities.argProb = 0.3;
+  probabilities.locProb = 0.3;
+  probabilities.bindProb = 0.4;
+  probabilities.readProb = 0.3;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    int next = 0;
+    support::Rng rng(seed);
+    support::Rng drive(seed + 1000);  // the test's own choices
+    FlippingModel model(FlippingOps{&next}, rng, probabilities, 1024);
+    std::size_t deepest = 0;
+    for (int step = 0; step < 2000; ++step) {
+      const std::size_t size = model.stack().size();
+      // Grow to a few hundred slots, then drain, then grow again.
+      const bool grow = (step / 500) % 2 == 0;
+      switch (drive.below(5)) {
+        case 0:
+          if (grow) model.enterFunction(static_cast<std::uint8_t>(
+                        drive.below(40)));
+          break;
+        case 1:
+          if (!grow || size > 400) model.exitFunction();
+          break;
+        case 2: {
+          const auto operand = model.selectOperand(primitive(drive.chance(0.5)));
+          if (operand.consumedTemp) model.popTop();
+          break;
+        }
+        case 3:
+          model.disposeValue(drive.chance(0.5) ? 0 : ++next);
+          break;
+        default:
+          if (size > 0 && (!grow || size > 400)) model.popTop();
+          break;
+      }
+      ASSERT_TRUE(model.listBitsConsistent()) << "seed " << seed
+                                              << " step " << step;
+      const std::size_t live = model.stack().size();
+      deepest = std::max(deepest, live);
+      // Random ranges, some past the top, some empty or inverted.
+      for (int pick = 0; pick < 4; ++pick) {
+        expectOraclePick(model, rng, drive.below(live + 70),
+                         drive.below(live + 70));
+      }
+      // Ranges that start or end on and next to a word boundary.
+      const std::size_t word = 64 * drive.below(live / 64 + 1);
+      expectOraclePick(model, rng, word, live);
+      expectOraclePick(model, rng, word + 1, word + 63);
+      expectOraclePick(model, rng, word == 0 ? 0 : word - 1, word + 65);
+      expectOraclePick(model, rng, 0, live);
+      expectOraclePick(model, rng, live, live);
+    }
+    EXPECT_GT(deepest, 256u) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "small/lpt.hpp"
 
@@ -351,6 +353,125 @@ TEST(LptIteration, NextInUseSkipsFreedEntriesMidSweep) {
   });
   EXPECT_EQ(visited,
             (std::vector<EntryId>{0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15}));
+}
+
+// Lazy fill: the table is built up to a high-water mark on demand. Ids at
+// or above the mark are free, so every observable order must match the
+// eager table, whose free stack starts as every id with low ids on top.
+
+TEST(LptLazyFill, HandsOutIdsInTheEagerOrder) {
+  constexpr std::uint32_t kSize = 40;
+  Lpt lpt(kSize, ReclaimPolicy::kLazy);
+  std::vector<EntryId> eager;  // the eager free stack, top at the back
+  for (EntryId id = kSize; id-- > 0;) eager.push_back(id);
+  std::vector<EntryId> held;
+  std::uint64_t state = 88172645463325252ull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int step = 0; step < 3000; ++step) {
+    if (next() % 3 != 0 && !eager.empty()) {
+      const EntryId id = lpt.allocate();
+      ASSERT_EQ(id, eager.back()) << "step " << step;
+      eager.pop_back();
+      lpt.incRef(id);
+      held.push_back(id);
+    } else if (!held.empty()) {
+      const std::size_t i = next() % held.size();
+      lpt.decRef(held[i]);  // freed: pushed on top of the stack
+      eager.push_back(held[i]);
+      held[i] = held.back();
+      held.pop_back();
+    }
+    ASSERT_EQ(lpt.hasFreeEntry(), !eager.empty());
+  }
+}
+
+TEST(LptLazyFill, ReadingAboveTheMarkLeavesAllocationAlone) {
+  Lpt lpt(16, ReclaimPolicy::kLazy);
+  EXPECT_EQ(lpt.allocate(), 0u);
+  EXPECT_EQ(lpt.highWater(), 1u);
+  // A never-allocated id reads as a fresh free entry through either
+  // accessor; reading it does not consume the lazy tail.
+  EXPECT_FALSE(lpt.entry(9).inUse);
+  EXPECT_EQ(std::as_const(lpt).entry(12).car, kNoEntry);
+  EXPECT_EQ(lpt.highWater(), 1u);
+  EXPECT_THROW(lpt.incRef(9), support::SimulationError);
+  EXPECT_THROW(lpt.decRef(12), support::SimulationError);
+  EXPECT_THROW(lpt.setStackBit(15, true), support::SimulationError);
+  for (EntryId want = 1; want < 16; ++want) EXPECT_EQ(lpt.allocate(), want);
+  EXPECT_EQ(lpt.allocate(), kNoEntry);
+}
+
+TEST(LptLazyFill, ExhaustsExactlyAtSize) {
+  Lpt lpt(5, ReclaimPolicy::kLazy);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(lpt.hasFreeEntry());
+    lpt.incRef(lpt.allocate());
+  }
+  EXPECT_EQ(lpt.highWater(), 5u);
+  EXPECT_FALSE(lpt.hasFreeEntry());
+  EXPECT_EQ(lpt.allocate(), kNoEntry);
+  lpt.decRef(3);
+  EXPECT_TRUE(lpt.hasFreeEntry());
+  EXPECT_EQ(lpt.allocate(), 3u);
+  EXPECT_EQ(lpt.allocate(), kNoEntry);
+}
+
+TEST(LptLazyFill, RecoveryWorksOnAHalfFilledTable) {
+  Lpt lpt(64, ReclaimPolicy::kLazy);
+  // A dead 2-cycle, a freed parent still owing its child's count, a
+  // rooted entry and 27 unrooted ones; 32 of the 64 ids are never touched.
+  const EntryId a = lpt.allocate();
+  const EntryId b = lpt.allocate();
+  const EntryId parent = lpt.allocate();
+  const EntryId child = lpt.allocate();
+  const EntryId rooted = lpt.allocate();
+  // Each count is one reference: the cycle's edges, parent's edge to
+  // child, and an external hold on everything else.
+  for (const EntryId id : {a, b, parent, child, rooted}) lpt.incRef(id);
+  for (int i = 0; i < 27; ++i) lpt.incRef(lpt.allocate());
+  lpt.entry(a).car = b;
+  lpt.entry(b).car = a;
+  lpt.entry(parent).cdr = child;
+  lpt.decRef(parent);  // freed, still owing its edge to child
+  EXPECT_EQ(lpt.highWater(), 32u);
+
+  EXPECT_EQ(lpt.settleLazyFrees(), 1u);  // parent's edge to child
+  EXPECT_FALSE(lpt.entry(child).inUse);
+  EXPECT_EQ(lpt.recoverCycles({rooted}), 2u + 27u);  // the cycle + unrooted
+  EXPECT_TRUE(lpt.entry(rooted).inUse);
+  EXPECT_EQ(lpt.inUseCount(), 1u);
+  EXPECT_EQ(lpt.highWater(), 32u);  // recovery does not fill the table
+  // Reuse drains the free stack (the sweep pushed the highest id last;
+  // 31 ids are free below the mark) before the mark moves.
+  EXPECT_EQ(lpt.allocate(), 31u);
+  for (int i = 0; i < 30; ++i) lpt.allocate();
+  EXPECT_EQ(lpt.highWater(), 32u);
+  EXPECT_EQ(lpt.allocate(), 32u);
+  EXPECT_EQ(lpt.highWater(), 33u);
+}
+
+TEST(LptLazyFill, NextInUseCrossesTheMark) {
+  Lpt lpt(40, ReclaimPolicy::kLazy);
+  for (int i = 0; i < 13; ++i) lpt.incRef(lpt.allocate());
+  for (const EntryId id : {0u, 8u, 9u, 10u, 11u}) lpt.decRef(id);
+  EXPECT_EQ(lpt.nextInUse(0), 1u);
+  EXPECT_EQ(lpt.nextInUse(8), 12u);
+  EXPECT_EQ(lpt.nextInUse(13), kNoEntry);  // the mark
+  EXPECT_EQ(lpt.nextInUse(30), kNoEntry);  // beyond it
+  // Refill the freed ids, then grow past the mark into a new flag word.
+  for (int i = 0; i < 5 + 12; ++i) lpt.incRef(lpt.allocate());
+  EXPECT_EQ(lpt.highWater(), 25u);
+  std::vector<EntryId> all;
+  lpt.forEachInUse([&](EntryId id) { all.push_back(id); });
+  std::vector<EntryId> want(25);
+  for (EntryId id = 0; id < 25; ++id) want[id] = id;
+  EXPECT_EQ(all, want);
+  EXPECT_EQ(lpt.nextInUse(25), kNoEntry);
 }
 
 }  // namespace
