@@ -2,8 +2,8 @@
 // factorial and list-manipulation examples to the SMALL stack machine,
 // print the disassembly, and run them on the emulator.
 #include <cstdio>
+#include <string>
 
-#include "sexpr/printer.hpp"
 #include "vm/compiler.hpp"
 #include "vm/emulator.hpp"
 
@@ -30,8 +30,8 @@ void demo(const char* title, const char* source, const char* input) {
   }
   emulator.run(program);
   std::puts("--- output ---");
-  for (const auto value : emulator.output()) {
-    std::printf("%s\n", sexpr::print(arena, symbols, value).c_str());
+  for (const std::string& line : emulator.output()) {
+    std::printf("%s\n", line.c_str());
   }
   std::printf("(%llu instructions, %llu list ops, %llu calls)\n\n",
               static_cast<unsigned long long>(

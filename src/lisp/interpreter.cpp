@@ -1,10 +1,7 @@
 #include "lisp/interpreter.hpp"
 
-#include <algorithm>
 #include <array>
 
-#include "obs/names.hpp"
-#include "obs/registry.hpp"
 #include "support/error.hpp"
 
 namespace small::lisp {
@@ -441,7 +438,6 @@ NodeRef Interpreter::applyLambda(NodeRef lambda,
 NodeRef Interpreter::applyBuiltin(SymbolId head,
                                   const std::vector<NodeRef>& args) {
   const Syms& s = *syms_;
-  ++builtinDispatch_[head];
   auto tracePrim = [&](Primitive primitive, NodeRef result) {
     if (tracer_) {
       tracer_->onPrimitive(primitive,
@@ -633,24 +629,6 @@ NodeRef Interpreter::applyBuiltin(SymbolId head,
   }
 
   error("undefined function '" + symbols_.name(head) + "'");
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-Interpreter::primitiveCounts() const {
-  std::vector<std::pair<std::string, std::uint64_t>> counts;
-  counts.reserve(builtinDispatch_.size());
-  for (const auto& [symbol, count] : builtinDispatch_) {
-    counts.emplace_back(symbols_.name(symbol), count);
-  }
-  std::sort(counts.begin(), counts.end());
-  return counts;
-}
-
-void Interpreter::contributeObs(obs::Registry& registry) const {
-  registry.add(obs::names::kLispSteps, steps_);
-  for (const auto& [name, count] : primitiveCounts()) {
-    registry.add(std::string(obs::names::kLispPrimPrefix) + name, count);
-  }
 }
 
 }  // namespace small::lisp

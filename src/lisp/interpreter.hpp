@@ -25,10 +25,6 @@
 #include "sexpr/printer.hpp"
 #include "sexpr/reader.hpp"
 
-namespace small::obs {
-class Registry;
-}
-
 namespace small::lisp {
 
 class Interpreter {
@@ -68,14 +64,6 @@ class Interpreter {
 
   /// Number of user-defined functions registered.
   std::size_t functionCount() const { return functions_.size(); }
-
-  /// Builtin dispatch tallies resolved to primitive names, sorted by
-  /// name — the interpreter-side Fig 3.1 primitive-frequency mirror.
-  std::vector<std::pair<std::string, std::uint64_t>> primitiveCounts() const;
-
-  /// Publish eval-step and per-primitive dispatch counts into `registry`
-  /// under the obs names ("lisp.eval_steps", "lisp.prim.<name>").
-  void contributeObs(obs::Registry& registry) const;
 
  private:
   struct Function {
@@ -126,7 +114,6 @@ class Interpreter {
   std::deque<NodeRef> input_;
   std::vector<NodeRef> output_;
   std::uint64_t steps_ = 0;
-  std::unordered_map<SymbolId, std::uint64_t> builtinDispatch_;
 
   // Interned special-form and builtin symbols, resolved once.
   struct Syms;

@@ -16,8 +16,6 @@
 //   lp.*    — List Processor request stream (hits/splits/compression).
 //   heap.*  — physical heap-backend activity (heap::HeapStats).
 //   gc.*    — collection machinery (gc::GcStats) and pause distributions.
-//   lisp.*  — interpreter primitive dispatch ("lisp.prim.<name>").
-//   vm.*    — emulator instruction dispatch ("vm.op.<mnemonic>").
 //   sweep.* — parallel harness task accounting.
 //   bench.* — per-bench figures (free-form under the bench's namespace).
 //
@@ -39,14 +37,12 @@ inline constexpr char kMemRcOps[] = "mem.rc_ops";
 inline constexpr char kLptLazyDecrements[] = "lpt.lazy_decrements";
 inline constexpr char kLptMaxRefCount[] = "lpt.ref_count.max";
 inline constexpr char kLptStackBitMessages[] = "lpt.stack_bit_messages";
-inline constexpr char kLptSettledLazyFrees[] = "lpt.settled_lazy_frees";
 inline constexpr char kLptLifetimeMaxCounts[] = "lpt.lifetime_max_counts";
 inline constexpr char kLptPeakOccupancy[] = "lpt.occupancy.peak";
 // Telemetry series (obs/timeseries.hpp): instantaneous in-use entry
 // count sampled on the deterministic epoch plane.
 inline constexpr char kLptOccupancy[] = "lpt.occupancy";
 inline constexpr char kLptHits[] = "lpt.hits";
-inline constexpr char kLptMisses[] = "lpt.misses";
 
 // --- List Processor request stream (core::LpStats) ---
 inline constexpr char kLpSplits[] = "lp.splits";
@@ -88,15 +84,6 @@ inline constexpr char kGcPauseHistogram[] = "gc.pause.touch_units";
 // and the live-cell count sampled between collections.
 inline constexpr char kGcPause[] = "gc.pause";
 inline constexpr char kGcLiveCells[] = "gc.live_cells";
-
-// --- interpreter / emulator dispatch ---
-inline constexpr char kLispPrimPrefix[] = "lisp.prim.";  // + primitive name
-inline constexpr char kLispSteps[] = "lisp.eval_steps";
-inline constexpr char kVmOpPrefix[] = "vm.op.";          // + mnemonic
-inline constexpr char kVmInstructions[] = "vm.instructions";
-inline constexpr char kVmListOps[] = "vm.list_ops";
-inline constexpr char kVmFunctionCalls[] = "vm.function_calls";
-inline constexpr char kVmMaxStackDepth[] = "vm.stack_depth.max";
 
 // --- parallel sweep harness ---
 inline constexpr char kSweepTasks[] = "sweep.tasks";

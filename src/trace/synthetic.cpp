@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "support/distributions.hpp"
@@ -99,7 +98,7 @@ class Generator {
     return std::clamp(1.0 - q, 0.05, 0.995);
   }
 
-  SyntheticObject& object(std::uint64_t fp) { return objects_.at(fp); }
+  SyntheticObject& object(std::uint64_t fp) { return objects_.at(fp - 1); }
 
   std::uint64_t newObject(std::uint32_t n, std::uint32_t p, bool isList) {
     const std::uint64_t fp = nextFp_++;
@@ -108,7 +107,7 @@ class Generator {
     obj.n = n;
     obj.p = p;
     obj.isList = isList;
-    objects_.emplace(fp, obj);
+    objects_.push_back(obj);
     return fp;
   }
 
@@ -168,7 +167,7 @@ class Generator {
       decompose(obj);
       if (obj.firstIsAtom) return 0;  // atom result
     }
-    // newObject may rehash objects_, so re-resolve after allocation.
+    // newObject may reallocate objects_, so re-resolve after allocation.
     const std::uint32_t subN = object(fp).subN;
     const std::uint32_t subP = object(fp).subP;
     const std::uint64_t child = newObject(subN, subP, true);
@@ -374,7 +373,7 @@ class Generator {
         const std::uint64_t tail = pickFromLocale();
         event.args.push_back(record(head));
         event.args.push_back(record(tail));
-        // Copy shapes out before newObject() can rehash objects_.
+        // Copy shapes out before newObject() can reallocate objects_.
         const std::uint32_t hn = object(head).n, hp = object(head).p;
         const std::uint32_t tn = object(tail).n, tp = object(tail).p;
         const std::uint64_t fresh = newObject(hn + tn, hp + tp + 1, true);
@@ -459,7 +458,7 @@ class Generator {
   EmpiricalDistribution rootN_;
   EmpiricalDistribution rootP_;
 
-  std::unordered_map<std::uint64_t, SyntheticObject> objects_;
+  std::vector<SyntheticObject> objects_;  ///< fingerprint fp at fp - 1
   std::uint64_t nextFp_ = 1;
   std::vector<Locale> locales_;
   std::size_t currentLocale_ = 0;

@@ -66,12 +66,8 @@ enum class Opcode : std::uint8_t {
   kHalt,
 };
 
-/// Number of opcodes (kHalt is last); sizes per-opcode dispatch tallies.
-inline constexpr std::size_t kOpcodeCount =
-    static_cast<std::size_t>(Opcode::kHalt) + 1;
-
-/// Assembly mnemonic ("BINDN", "FCALL", ...), also the obs metric suffix
-/// under "vm.op.".
+/// Assembly mnemonic ("BINDN", "FCALL", ...), as printed by `disassemble`
+/// and in the emulator's error messages.
 const char* opcodeName(Opcode op);
 
 struct Instruction {

@@ -5,7 +5,6 @@
 #include "analysis/census.hpp"
 #include "analysis/chaining.hpp"
 #include "analysis/list_sets.hpp"
-#include "analysis/lru.hpp"
 #include "support/rng.hpp"
 #include "trace/preprocess.hpp"
 #include "trace/synthetic.hpp"
@@ -223,44 +222,6 @@ TEST(ListSets, SmallerWindowNeverProducesFewerSets) {
     EXPECT_GE(partition.sets.size(), previous);
     previous = partition.sets.size();
   }
-}
-
-// --- Mattson LRU ---
-
-TEST(Mattson, DistancesMatchHandComputation) {
-  MattsonStack stack;
-  EXPECT_EQ(stack.reference(1), 0u);  // cold
-  EXPECT_EQ(stack.reference(2), 0u);
-  EXPECT_EQ(stack.reference(1), 2u);  // 1 is at depth 2
-  EXPECT_EQ(stack.reference(1), 1u);  // now on top
-  EXPECT_EQ(stack.reference(2), 2u);
-  EXPECT_EQ(stack.coldMisses(), 2u);
-  EXPECT_EQ(stack.references(), 5u);
-}
-
-TEST(Mattson, HitRatioMonotoneInCapacity) {
-  MattsonStack stack;
-  support::Rng rng(13);
-  for (int i = 0; i < 5000; ++i) {
-    stack.reference(rng.below(64));
-  }
-  double previous = 0.0;
-  for (std::uint32_t capacity = 1; capacity <= 64; ++capacity) {
-    const double ratio = stack.hitRatio(capacity);
-    EXPECT_GE(ratio, previous);
-    previous = ratio;
-  }
-  EXPECT_NEAR(stack.hitRatio(64),
-              1.0 - static_cast<double>(stack.coldMisses()) / 5000.0, 1e-9);
-}
-
-TEST(Mattson, CurveMatchesPointQueries) {
-  MattsonStack stack;
-  support::Rng rng(17);
-  for (int i = 0; i < 2000; ++i) stack.reference(rng.below(32));
-  const support::Series curve = stack.hitRatioCurve(32);
-  ASSERT_EQ(curve.y.size(), 32u);
-  EXPECT_DOUBLE_EQ(curve.y[7], stack.hitRatio(8));
 }
 
 // --- chaining ---

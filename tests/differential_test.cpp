@@ -9,7 +9,6 @@
 #include "sexpr/printer.hpp"
 #include "vm/compiler.hpp"
 #include "vm/emulator.hpp"
-#include "vm/small_emulator.hpp"
 
 namespace small {
 namespace {
@@ -37,11 +36,7 @@ struct Engines {
     vm::Emulator emulator(arena, symbols);
     feed(emulator, input);
     emulator.run(program);
-    std::vector<std::string> out;
-    for (const auto value : emulator.output()) {
-      out.push_back(sexpr::print(arena, symbols, value));
-    }
-    return out;
+    return emulator.output();
   }
 
   struct SmallRun {
@@ -80,9 +75,9 @@ struct ProgramCase {
   const char* input;
 };
 
-// Programs restricted to the common subset of all three engines (no
-// destructive update after a write, since the reference emulator's
-// outputs are live).
+// Programs restricted to the common subset of all three engines: no
+// destructive update after a write. Both emulators print at write time,
+// but the interpreter's outputs stay live references.
 const ProgramCase kBattery[] = {
     {"atoms", "(write 42) (write nil) (write t) (write (quote sym))", ""},
     {"listops",

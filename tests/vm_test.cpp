@@ -1,7 +1,6 @@
 // Tests for the §4.3.4 stack-machine compiler and emulator.
 #include <gtest/gtest.h>
 
-#include "sexpr/printer.hpp"
 #include "support/error.hpp"
 #include "vm/compiler.hpp"
 #include "vm/emulator.hpp"
@@ -24,11 +23,16 @@ class VmTest : public ::testing::Test {
       }
     }
     emulator.run(program);
-    std::vector<std::string> out;
-    for (const auto value : emulator.output()) {
-      out.push_back(sexpr::print(arena, symbols, value));
-    }
-    return out;
+    return emulator.output();
+  }
+
+  /// Run a hand-built program on both stores: each must reject it with
+  /// an EvalError.
+  void expectRejected(const Program& program) {
+    Emulator plain(arena, symbols);
+    EXPECT_THROW(plain.run(program), support::EvalError);
+    SmallEmulator small(arena, symbols);
+    EXPECT_THROW(small.run(program), support::EvalError);
   }
 
   sexpr::SymbolTable symbols;
@@ -100,9 +104,6 @@ TEST_F(VmTest, ListOps) {
 }
 
 TEST_F(VmTest, RplacaRplacd) {
-  // The emulator's output holds references to live structure, so a later
-  // destructive update is visible through an earlier (write ...) — the
-  // two updates are checked in separate runs.
   const auto afterRplaca = runProgram(R"(
     (prog (x)
       (setq x (quote (a b c)))
@@ -214,6 +215,47 @@ TEST_F(VmTest, StepBudgetTerminatesRunaways) {
   options.maxSteps = 10000;
   Emulator emulator(arena, symbols, options);
   EXPECT_THROW(emulator.run(program), support::EvalError);
+}
+
+TEST_F(VmTest, PushSymOutsideTheConstantPoolIsRejected) {
+  Program program;
+  program.constants.push_back(sexpr::kNilRef);
+  program.code = {{Opcode::kPushSym, 1, 0}, {Opcode::kHalt, 0, 0}};
+  expectRejected(program);
+  program.code[0].operand = -1;
+  expectRejected(program);
+}
+
+TEST_F(VmTest, FCallWithTooFewStackedArgumentsIsRejected) {
+  // f declares one argument but has no BINDN prologue, so nothing pops
+  // the missing argument: FRETN alone would compute a negative floor.
+  Program program;
+  program.constants.push_back(sexpr::kNilRef);
+  program.functions.push_back({"f", 0, 1});
+  program.code = {{Opcode::kPushSym, 0, 0},
+                  {Opcode::kFRetn, 0, 0},
+                  {Opcode::kFCall, 1, symbols.intern("f")},
+                  {Opcode::kHalt, 0, 0}};
+  program.start = 2;
+  expectRejected(program);
+}
+
+TEST_F(VmTest, SetqOnAnEmptyStackIsRejected) {
+  Program program;
+  program.code = {{Opcode::kSetq, 0, symbols.intern("x")},
+                  {Opcode::kHalt, 0, 0}};
+  expectRejected(program);
+}
+
+TEST_F(VmTest, IntegerOverflowIsRejected) {
+  Compiler compiler(arena, symbols);
+  for (const char* source :
+       {"(write (* 4611686018427387904 2))",
+        "(write (+ 9223372036854775807 1))",
+        "(write (- (- 0 9223372036854775807) 2))",
+        "(write (/ (- (- 0 9223372036854775807) 1) (- 0 1)))"}) {
+    expectRejected(compiler.compile(source));
+  }
 }
 
 TEST_F(VmTest, VmAgreesWithReferenceValues) {
